@@ -9,7 +9,6 @@ rejected at every level so sweep-axis typos fail fast.  Each command writes
 plot-ready CSV data plus a report JSON, with volatile values (timestamps,
 wall times) isolated in a separate ``*_meta.json`` so data artifacts are
 byte-identical across reruns.  All writes are write-temp-then-rename.
-``SCHEDLAB_THREADS`` caps sweep parallelism.
 
 Exit codes: 0 success, 2 config validation error, 3 numeric domain error,
 4 I/O error.
@@ -18,7 +17,6 @@ Exit codes: 0 success, 2 config validation error, 3 numeric domain error,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import io
 import json
@@ -28,21 +26,15 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .calculus import scan_csv_text, singularity_scan
 from .errors import DomainError, ValidationError
 from .harness import (
     EditResult,
     ScenarioConfig,
-    derive_edit_direction,
-    edit_once,
     run_edit_scenario,
     run_roundtrip_scenario,
-    scenario_table,
 )
-from .metrics import RunReport
 from .models import AnalyticModel, model_from_dict
 from .presets import (
     K_VALUES,
@@ -274,15 +266,6 @@ def _out_dir(args, data: dict) -> Path:
     return out
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SCHEDLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"SCHEDLAB_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -348,7 +331,7 @@ def cmd_roundtrip(args) -> int:
             for r in results
         ],
     )
-    grid = scenario_table(scenario).timesteps
+    grid = results[0].inversion.timesteps[1:]
     _write_csv(
         out / f"{name}_local_errors.csv",
         ("seed", "step", "t", "error"),
@@ -400,25 +383,16 @@ def cmd_edit_sim(args) -> int:
         if not w_inv_values or not w_rev_values:
             raise ValidationError("guidance_grid axes must be non-empty")
         rows = []
-        table = scenario_table(scenario)
-        direction = derive_edit_direction(scenario)
         for wi in w_inv_values:
             for wr in w_rev_values:
                 cfg = dataclasses.replace(scenario.sampler, w_invert=wi, w_reverse=wr)
-                cell = dataclasses.replace(scenario, sampler=cfg)
-                cell_results = [
-                    edit_once(cell, table, s, direction) for s in scenario.seeds
-                ]
+                cell, _ = run_edit_scenario(dataclasses.replace(scenario, sampler=cfg))
                 rows.append(
                     [
                         format_float(wi),
                         format_float(wr),
-                        format_float(
-                            float(np.mean([r.edit_drift for r in cell_results]))
-                        ),
-                        format_float(
-                            float(np.mean([r.roundtrip_mse for r in cell_results]))
-                        ),
+                        format_float(cell.edit_drift),
+                        format_float(cell.roundtrip_mse),
                     ]
                 )
         _write_csv(
@@ -494,17 +468,8 @@ def cmd_sweep(args) -> int:
     values = _sweep_values(axis, sw.get("values"), base.schedule.T)
     scenarios = [_sweep_scenario(base, axis, v) for v in values]
 
-    def run_one(sc: ScenarioConfig) -> RunReport:
-        if command == "edit-sim":
-            return run_edit_scenario(sc)[0]
-        return run_roundtrip_scenario(sc)[0]
-
-    threads = _thread_count()
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run_one, scenarios))
-    else:
-        reports = [run_one(sc) for sc in scenarios]
+    runner = run_edit_scenario if command == "edit-sim" else run_roundtrip_scenario
+    reports = [runner(sc)[0] for sc in scenarios]
 
     out = _out_dir(args, data)
     name = data["name"]

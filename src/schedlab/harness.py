@@ -5,6 +5,10 @@ triple (unconditional / source / optional target) with an explicit seed
 list.  Round-trip runs invert a data draw and reconstruct it under the
 source condition; edit runs additionally regenerate under the target
 condition, both free-running and pinned to the stored inversion path.
+
+Every trajectory of a scenario runs all of its seeds at once as one
+(S, dim) batch (see ``schedlab.sampler``); each seed keeps its own Philox
+streams, so its per-seed result is bitwise the same in any seed list.
 """
 
 from __future__ import annotations
@@ -73,8 +77,7 @@ def derive_edit_direction(scenario: ScenarioConfig) -> np.ndarray:
         raise ValidationError("edit run needs a target model")
 
     def mixture_mean(model: AnalyticModel) -> np.ndarray:
-        w = np.array([c.weight for c in model.components])
-        mu = np.array([c.mean for c in model.components])
+        w, mu, _ = model.arrays
         return w @ mu
 
     d = mixture_mean(scenario.target) - mixture_mean(scenario.source)
@@ -85,13 +88,13 @@ def derive_edit_direction(scenario: ScenarioConfig) -> np.ndarray:
     return d
 
 
-def local_errors(inversion: Trajectory, reverse: Trajectory) -> list[float]:
-    """Per-grid-point distance between the two trajectories, ordered by t."""
-    n = inversion.states.shape[0] - 1
-    return [
-        float(np.linalg.norm(inversion.states[g + 1] - reverse.states[n - 1 - g]))
-        for g in range(n)
-    ]
+def local_errors(inversion: Trajectory, reverse: Trajectory) -> np.ndarray:
+    """Per-grid-point distance between the two trajectories, ordered by t.
+
+    Shape (S, n_steps) for batched runs, (n_steps,) for single ones.
+    """
+    gap = inversion.states[..., 1:, :] - reverse.states[..., -2::-1, :]
+    return np.linalg.norm(gap, axis=-1)
 
 
 @dataclasses.dataclass
@@ -102,25 +105,6 @@ class RoundtripResult:
     local_errors: list[float]
     inversion: Trajectory
     reverse: Trajectory
-
-
-def roundtrip_once(
-    scenario: ScenarioConfig, table: ScheduleTable, seed: int
-) -> RoundtripResult:
-    x0 = sample_x0(scenario.source, seed, 1)[0]
-    pair = (scenario.uncond, scenario.source)
-    inv = run_inversion(pair, x0, table, scenario.sampler, seed)
-    rev = run_reverse(pair, inv.states[-1], table, scenario.sampler, seed)
-    max_val = scenario_max_val(scenario)
-    m = mse(inv.states[0], rev.states[-1])
-    return RoundtripResult(
-        seed=seed,
-        roundtrip_mse=m,
-        roundtrip_psnr=psnr(inv.states[0], rev.states[-1], max_val),
-        local_errors=local_errors(inv, rev),
-        inversion=inv,
-        reverse=rev,
-    )
 
 
 @dataclasses.dataclass
@@ -135,32 +119,35 @@ class EditResult:
     inversion: Trajectory
 
 
-def edit_once(
-    scenario: ScenarioConfig,
-    table: ScheduleTable,
-    seed: int,
-    direction: np.ndarray,
-) -> EditResult:
-    if scenario.target is None:
-        raise ValidationError("edit run needs a target model")
-    x0 = sample_x0(scenario.source, seed, 1)[0]
-    src_pair = (scenario.uncond, scenario.source)
-    tgt_pair = (scenario.uncond, scenario.target)
-    inv = run_inversion(src_pair, x0, table, scenario.sampler, seed)
-    recon = run_reverse(src_pair, inv.states[-1], table, scenario.sampler, seed)
-    edited = run_reverse(tgt_pair, inv.states[-1], table, scenario.sampler, seed)
-    pinned = pinned_reconstruction(
-        inv, src_pair, tgt_pair, table, scenario.sampler, seed
-    )
-    return EditResult(
-        seed=seed,
-        roundtrip_mse=mse(inv.states[0], recon.states[-1]),
-        edit_drift=edit_drift(inv.states[0], edited.states[-1], direction),
-        pinned_edit_drift=edit_drift(inv.states[0], pinned.states[-1], direction),
-        local_errors=local_errors(inv, recon),
-        edited=edited.states[-1],
-        edited_pinned=pinned.states[-1],
-        inversion=inv,
+def _roundtrip(scenario: ScenarioConfig, table: ScheduleTable):
+    """Batched inversion of every seed's data draw and its source reconstruction."""
+    seeds = scenario.seeds
+    x0 = np.stack([sample_x0(scenario.source, s, 1)[0] for s in seeds])
+    pair = (scenario.uncond, scenario.source)
+    inv = run_inversion(pair, x0, table, scenario.sampler, seeds)
+    rec = run_reverse(pair, inv.states[:, -1], table, scenario.sampler, seeds)
+    mses = [mse(inv.states[i, 0], rec.states[i, -1]) for i in range(len(seeds))]
+    return inv, rec, mses, local_errors(inv, rec)
+
+
+def _report(scenario, table, start, inv, mses, local, drifts=(None, None)) -> RunReport:
+    wall = time.perf_counter() - start
+    mean_mse = float(np.mean(mses))
+    r2 = logsnr_linearity_fit(table)[2]
+    return RunReport(
+        local_errors=tuple(float(v) for v in np.mean(local, axis=0)),
+        roundtrip_mse=mean_mse,
+        roundtrip_psnr=_mean_psnr(mean_mse, scenario_max_val(scenario)),
+        edit_drift=drifts[0],
+        pinned_edit_drift=drifts[1],
+        start_clamped=inv.start_clamped,
+        scenario_id=scenario.name,
+        schedule_family=scenario.schedule.family.value,
+        n_steps=scenario.sampler.n_steps,
+        terminal_logsnr=table.logsnr[-1],
+        linearity_r2=r2,
+        wall_time_seconds=wall,
+        psnr_max_val=scenario_max_val(scenario),
     )
 
 
@@ -170,41 +157,25 @@ def _mean_psnr(mean_mse: float, max_val: float) -> float:
     return 10.0 * math.log10(max_val * max_val / mean_mse)
 
 
-def _base_report(
-    scenario: ScenarioConfig, table: ScheduleTable, wall: float
-) -> dict:
-    slope, intercept, r2 = logsnr_linearity_fit(table)
-    del slope, intercept
-    return {
-        "scenario_id": scenario.name,
-        "schedule_family": scenario.schedule.family.value,
-        "n_steps": scenario.sampler.n_steps,
-        "terminal_logsnr": table.logsnr[-1],
-        "linearity_r2": r2,
-        "wall_time_seconds": wall,
-        "psnr_max_val": scenario_max_val(scenario),
-    }
-
-
 def run_roundtrip_scenario(
     scenario: ScenarioConfig,
 ) -> tuple[RunReport, list[RoundtripResult]]:
     start = time.perf_counter()
     table = scenario_table(scenario)
-    results = [roundtrip_once(scenario, table, s) for s in scenario.seeds]
-    wall = time.perf_counter() - start
-
-    mean_mse = float(np.mean([r.roundtrip_mse for r in results]))
-    mean_local = np.mean([r.local_errors for r in results], axis=0)
-    report = RunReport(
-        local_errors=tuple(float(v) for v in mean_local),
-        roundtrip_mse=mean_mse,
-        roundtrip_psnr=_mean_psnr(mean_mse, scenario_max_val(scenario)),
-        edit_drift=None,
-        start_clamped=results[0].inversion.start_clamped,
-        **_base_report(scenario, table, wall),
-    )
-    return report, results
+    inv, rec, mses, local = _roundtrip(scenario, table)
+    max_val = scenario_max_val(scenario)
+    results = [
+        RoundtripResult(
+            seed=s,
+            roundtrip_mse=mses[i],
+            roundtrip_psnr=psnr(inv.states[i, 0], rec.states[i, -1], max_val),
+            local_errors=local[i].tolist(),
+            inversion=inv.row(i),
+            reverse=rec.row(i),
+        )
+        for i, s in enumerate(scenario.seeds)
+    ]
+    return _report(scenario, table, start, inv, mses, local), results
 
 
 def run_edit_scenario(
@@ -213,21 +184,33 @@ def run_edit_scenario(
     start = time.perf_counter()
     table = scenario_table(scenario)
     direction = derive_edit_direction(scenario)
-    results = [edit_once(scenario, table, s, direction) for s in scenario.seeds]
-    wall = time.perf_counter() - start
-
-    mean_mse = float(np.mean([r.roundtrip_mse for r in results]))
-    mean_local = np.mean([r.local_errors for r in results], axis=0)
-    report = RunReport(
-        local_errors=tuple(float(v) for v in mean_local),
-        roundtrip_mse=mean_mse,
-        roundtrip_psnr=_mean_psnr(mean_mse, scenario_max_val(scenario)),
-        edit_drift=float(np.mean([r.edit_drift for r in results])),
-        pinned_edit_drift=float(np.mean([r.pinned_edit_drift for r in results])),
-        start_clamped=results[0].inversion.start_clamped,
-        **_base_report(scenario, table, wall),
+    if scenario.target is None:
+        raise ValidationError("edit run needs a target model")
+    inv, _, mses, local = _roundtrip(scenario, table)
+    seeds, sampler = scenario.seeds, scenario.sampler
+    src_pair = (scenario.uncond, scenario.source)
+    tgt_pair = (scenario.uncond, scenario.target)
+    edited = run_reverse(tgt_pair, inv.states[:, -1], table, sampler, seeds).states[:, -1]
+    pinned = pinned_reconstruction(inv, src_pair, tgt_pair, table, sampler, seeds).states[:, -1]
+    x0 = inv.states[:, 0]
+    results = [
+        EditResult(
+            seed=s,
+            roundtrip_mse=mses[i],
+            edit_drift=edit_drift(x0[i], edited[i], direction),
+            pinned_edit_drift=edit_drift(x0[i], pinned[i], direction),
+            local_errors=local[i].tolist(),
+            edited=edited[i],
+            edited_pinned=pinned[i],
+            inversion=inv.row(i),
+        )
+        for i, s in enumerate(seeds)
+    ]
+    drifts = (
+        float(np.mean([r.edit_drift for r in results])),
+        float(np.mean([r.pinned_edit_drift for r in results])),
     )
-    return report, results
+    return _report(scenario, table, start, inv, mses, local, drifts), results
 
 
 def sign_test_pvalue(wins: int, trials: int) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 from typing import Sequence
 
@@ -76,42 +77,55 @@ class AnalyticModel:
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValidationError(f"weights must sum to 1 within 1e-12, got {total}")
 
-
-def _arrays(model: AnalyticModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    w = np.array([c.weight for c in model.components])
-    mu = np.array([c.mean for c in model.components])
-    var = np.array([c.variance for c in model.components])
-    return w, mu, var
+    @functools.cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only weight (K,), mean (K, dim) and variance (K,) arrays, built once."""
+        arrays = (
+            np.array([c.weight for c in self.components]),
+            np.array([c.mean for c in self.components]),
+            np.array([c.variance for c in self.components]),
+        )
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 def _check_state(model: AnalyticModel, x: Sequence[float]) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if arr.shape != (model.dim,):
-        raise ValidationError(f"state shape {arr.shape} != ({model.dim},)")
+    if arr.ndim not in (1, 2) or arr.shape[-1] != model.dim:
+        raise ValidationError(
+            f"state shape {arr.shape} is neither ({model.dim},) nor (S, {model.dim})"
+        )
     return arr
 
 
 def exact_eps(model: AnalyticModel, x_t: Sequence[float], alpha_bar: float) -> np.ndarray:
-    """Optimal noise prediction at state x_t and noise level alpha_bar.
+    """Optimal noise prediction for a (dim,) state or an (S, dim) batch of states.
 
     Responsibilities are computed in log space with max subtraction so the
-    mixture path stays stable at extreme logSNR.
+    mixture path stays stable at extreme logSNR.  Only elementwise operations
+    and reductions along the coordinate or component axis touch the states,
+    so each row's result is bitwise the same whatever batch it is in.
     """
     if not 0.0 < alpha_bar < 1.0:
         raise DomainError(f"predictor undefined at alpha_bar={alpha_bar}")
     x = _check_state(model, x_t)
-    w, mu, var = _arrays(model)
+    w, mu, var = model.arrays
     s2 = alpha_bar * var + (1.0 - alpha_bar)  # (K,)
-    diff = x[None, :] - math.sqrt(alpha_bar) * mu  # (K, dim)
+    diff = x[..., None, :] - math.sqrt(alpha_bar) * mu  # (..., K, dim)
     per_comp = math.sqrt(1.0 - alpha_bar) * diff / s2[:, None]
     if len(model.components) == 1:
-        return per_comp[0]
-    sq = np.sum(diff * diff, axis=1)
+        return per_comp[..., 0, :]
+    sq = np.sum(diff * diff, axis=-1)  # (..., K)
     log_r = np.log(w) - 0.5 * (model.dim * np.log(2.0 * math.pi * s2) + sq / s2)
-    log_r -= log_r.max()
+    log_r -= log_r.max(axis=-1, keepdims=True)
     r = np.exp(log_r)
-    r /= r.sum()
-    return r @ per_comp
+    r /= r.sum(axis=-1, keepdims=True)
+    # component-order sum, not a matmul, whose BLAS kernel may vary with the batch
+    out = r[..., 0, None] * per_comp[..., 0, :]
+    for k in range(1, len(model.components)):
+        out = out + r[..., k, None] * per_comp[..., k, :]
+    return out
 
 
 def guided_eps(
@@ -121,7 +135,7 @@ def guided_eps(
     alpha_bar: float,
     w: float,
 ) -> np.ndarray:
-    """Classifier-free mixing: eps_u + w * (eps_c - eps_u)."""
+    """Classifier-free mixing eps_u + w * (eps_c - eps_u), on (dim,) or (S, dim)."""
     if model_uncond.dim != model_cond.dim:
         raise ValidationError(
             f"model dims differ: {model_uncond.dim} vs {model_cond.dim}"
@@ -141,7 +155,7 @@ def sample_x0(model: AnalyticModel, rng_seed: int, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValidationError(f"need n >= 1 samples, got {n}")
-    w, mu, var = _arrays(model)
+    w, mu, var = model.arrays
     rng = np.random.Generator(np.random.Philox(key=int(rng_seed)))
     idx = rng.choice(len(model.components), size=n, p=w)
     z = rng.standard_normal((n, model.dim))
@@ -150,7 +164,7 @@ def sample_x0(model: AnalyticModel, rng_seed: int, n: int) -> np.ndarray:
 
 def data_variance(model: AnalyticModel) -> float:
     """Per-coordinate variance of the data law, averaged over coordinates."""
-    w, mu, var = _arrays(model)
+    w, mu, var = model.arrays
     mean = w @ mu
     second = w @ (var[:, None] + mu**2)
     return float(np.mean(second - mean**2))

@@ -19,6 +19,13 @@ run anchors the clean state at the grid's first timestep instead
 (``start_clamped``), and the reverse run mirrors that convention at its final
 step.  The logistic family keeps alpha_bar(0) < 1, so both endpoints are
 genuine steps there.
+
+Batch layout: every run takes the states of S seeds at once, an (S, dim)
+array, and records (S, n_steps + 1, dim) states; a single (dim,) state gives
+(n_steps + 1, dim) records.  Each seed owns one Philox stream, keyed by its
+seed, for the eta > 0 noise, and only elementwise operations and reductions
+along the coordinate axis mix values, so a seed's records are bitwise the
+same alone, in any batch and at any batch position.
 """
 
 from __future__ import annotations
@@ -91,10 +98,12 @@ def time_grid(config: SamplerConfig, T: int) -> tuple[float, ...]:
 
 @dataclasses.dataclass
 class Trajectory:
-    """Ordered (t, state, predicted noise) records of one run.
+    """Ordered (t, state, predicted noise) records of one run over S seeds.
 
-    Holds n_steps + 1 records including the t=0 anchor; timesteps increase
-    for inversion runs and decrease for reverse runs.  ``alpha_bars`` are the
+    Holds n_steps + 1 records per seed including the t=0 anchor: ``states``
+    and ``eps_hats`` are (S, n_steps + 1, dim), or (n_steps + 1, dim) for a
+    run started from a single (dim,) state.  Timesteps increase for
+    inversion runs and decrease for reverse runs.  ``alpha_bars`` are the
     per-record conventional noise levels (the anchor uses the clamped level
     when ``start_clamped``).
     """
@@ -102,10 +111,14 @@ class Trajectory:
     direction: str  # "inversion" | "reverse"
     timesteps: tuple[float, ...]
     alpha_bars: tuple[float, ...]
-    states: np.ndarray  # (n_steps + 1, dim)
-    eps_hats: np.ndarray  # (n_steps + 1, dim)
+    states: np.ndarray
+    eps_hats: np.ndarray
     config: SamplerConfig
     start_clamped: bool
+
+    def row(self, i: int) -> "Trajectory":
+        """Seed i of a batched run as a single-seed trajectory (views, no copy)."""
+        return dataclasses.replace(self, states=self.states[i], eps_hats=self.eps_hats[i])
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +250,18 @@ def _predict(
     return guided_eps(uncond, cond, x, alpha_bar, w)
 
 
-def _grid_and_alphas(
+def _step_plan(
     table: ScheduleTable, config: SamplerConfig
-) -> tuple[tuple[float, ...], tuple[float, ...], float, bool]:
+) -> tuple[tuple[float, ...], list[tuple[float, float]], bool]:
+    """Grid, the inversion run's step plan, and whether t=0 is clamped.
+
+    The plan holds one (a_from, a_to) pair of noise levels per step, from
+    the t=0 anchor up: the predictor is evaluated at a_from and the state
+    moves to a_to.  Reverse and pinned runs walk the same pairs backwards
+    with the ends swapped.  For a schedule singular at t=0 the anchor takes
+    the grid's first level, so its pair is (a, a): a step that leaves the
+    noise level unchanged is the identity and draws no noise.
+    """
     grid = time_grid(config, table.spec.T)
     if grid != table.timesteps:
         raise ValidationError(
@@ -247,8 +269,60 @@ def _grid_and_alphas(
             f"(table has {len(table.timesteps)} steps from {table.timesteps[0]})"
         )
     a0 = eval_alpha_bar(table.spec, 0.0)
-    start_clamped = a0 >= 1.0
-    return grid, table.alpha_bar, a0, start_clamped
+    clamped = a0 >= 1.0
+    levels = (table.alpha_bar[0] if clamped else a0,) + table.alpha_bar
+    return grid, list(zip(levels, levels[1:])), clamped
+
+
+def _backwards(plan: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    return [(a_to, a_from) for a_from, a_to in reversed(plan)]
+
+
+def _batch(x: Sequence[float], dim: int, what: str) -> tuple[np.ndarray, bool]:
+    """(S, dim) view of a (dim,) or (S, dim) input, and whether it was single."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim not in (1, 2) or arr.shape[-1] != dim or arr.size == 0:
+        raise ValidationError(f"{what} shape {arr.shape} is neither ({dim},) nor (S, {dim})")
+    return arr.reshape(-1, dim), arr.ndim == 1
+
+
+def _noise(seed: int | Sequence[int], shape: tuple[int, int, int], eta: float):
+    """Per-seed Philox normals, (S, n_steps, dim); None when eta is 0.
+
+    Row s is the first n_steps * dim normals of seed s's own stream, the same
+    numbers one (dim,) draw per step gives.
+    """
+    seeds = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
+    if len(seeds) != shape[0]:
+        raise ValidationError(f"{len(seeds)} seeds for a batch of {shape[0]} states")
+    if eta == 0.0:
+        return None
+    streams = [np.random.Generator(np.random.Philox(key=int(s))) for s in seeds]
+    return np.stack([rng.standard_normal(shape[1:]) for rng in streams])
+
+
+def _reverse(x, eps_hat, a_from, a_to, eta, noise):
+    if a_from == a_to:
+        return x
+    return ddim_reverse_step(x, eps_hat, a_from, a_to, eta, noise)
+
+
+def _walk(direction, grid, plan, x, predict, step, single, config, clamped) -> Trajectory:
+    """Walk ``plan`` from the (S, dim) states x: predict at each step's a_from,
+    then ``step(k, x, eps_hat, a_from, a_to)``, and predict once more at the end."""
+    n = len(plan)
+    states = np.empty((x.shape[0], n + 1, x.shape[1]))
+    eps_hats = np.empty_like(states)
+    states[:, 0] = x
+    for k, (a_from, a_to) in enumerate(plan):
+        eps_hats[:, k] = predict(states[:, k], a_from)
+        states[:, k + 1] = step(k, states[:, k], eps_hats[:, k], a_from, a_to)
+    eps_hats[:, n] = predict(states[:, n], plan[-1][1])
+    if single:
+        states, eps_hats = states[0], eps_hats[0]
+    times = (0.0,) + grid if direction == "inversion" else tuple(reversed(grid)) + (0.0,)
+    levels = tuple(a_from for a_from, _ in plan) + (plan[-1][1],)
+    return Trajectory(direction, times, levels, states, eps_hats, config, clamped)
 
 
 def run_inversion(
@@ -256,50 +330,28 @@ def run_inversion(
     x0: Sequence[float],
     table: ScheduleTable,
     config: SamplerConfig,
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
 ) -> Trajectory:
-    """Deterministic inversion of b*x0 up the grid, guided at w_invert.
+    """Deterministic inversion of b*x0, (dim,) or (S, dim), up the grid at w_invert.
 
     The predictor for the step leaving t_{j-1} is evaluated at the stored
-    state and noise level of t_{j-1}.  ``seed`` is accepted for interface
-    symmetry; inversion itself draws no noise.
+    state and noise level of t_{j-1}.  ``seed`` (one per state) is accepted
+    for interface symmetry; inversion itself draws no noise.
     """
     del seed
     models = _as_pair(models)
-    grid, alphas, a0, clamped = _grid_and_alphas(table, config)
+    grid, plan, clamped = _step_plan(table, config)
+    x, single = _batch(x0, models[0].dim, "x0")
     sigma0_sq = data_variance(models[0])
-    n = config.n_steps
 
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (models[0].dim,):
-        raise ValidationError(f"x0 shape {x0.shape} != ({models[0].dim},)")
+    def predict(xs, a):
+        return _predict(models, xs, a, config.w_invert, config, sigma0_sq)
 
-    states = np.empty((n + 1, x0.shape[0]))
-    eps_hats = np.empty_like(states)
-    states[0] = config.input_scale_b * x0
-    anchor_alpha = alphas[0] if clamped else a0
+    def step(k, xs, eps_hat, a_from, a_to):
+        return xs if a_from == a_to else ddim_invert_step(xs, eps_hat, a_from, a_to)
 
-    eps_hats[0] = _predict(models, states[0], anchor_alpha, config.w_invert, config, sigma0_sq)
-    if clamped:
-        states[1] = states[0]
-    else:
-        states[1] = ddim_invert_step(states[0], eps_hats[0], a0, alphas[0])
-    for j in range(1, n):
-        eps_hats[j] = _predict(
-            models, states[j], alphas[j - 1], config.w_invert, config, sigma0_sq
-        )
-        states[j + 1] = ddim_invert_step(states[j], eps_hats[j], alphas[j - 1], alphas[j])
-    eps_hats[n] = _predict(models, states[n], alphas[-1], config.w_invert, config, sigma0_sq)
-
-    return Trajectory(
-        direction="inversion",
-        timesteps=(0.0,) + grid,
-        alpha_bars=(anchor_alpha,) + alphas,
-        states=states,
-        eps_hats=eps_hats,
-        config=config,
-        start_clamped=clamped,
-    )
+    x = config.input_scale_b * x
+    return _walk("inversion", grid, plan, x, predict, step, single, config, clamped)
 
 
 def run_reverse(
@@ -307,55 +359,28 @@ def run_reverse(
     x_T: Sequence[float],
     table: ScheduleTable,
     config: SamplerConfig,
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
 ) -> Trajectory:
     """Generation run from the grid's last timestep down to the t=0 anchor.
 
-    Deterministic for eta=0; otherwise noise comes from a Philox stream keyed
-    by ``seed``.  The final step mirrors the inversion start convention.
+    ``x_T`` is (dim,) or (S, dim) with one seed per state.  Deterministic for
+    eta=0; otherwise each state's noise comes from the Philox stream keyed by
+    its seed.  The final step mirrors the inversion start convention.
     """
     models = _as_pair(models)
-    grid, alphas, a0, clamped = _grid_and_alphas(table, config)
+    grid, plan, clamped = _step_plan(table, config)
+    x, single = _batch(x_T, models[0].dim, "x_T")
+    noise = _noise(seed, (x.shape[0], config.n_steps, x.shape[1]), config.eta)
     sigma0_sq = data_variance(models[0])
-    n = config.n_steps
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
 
-    x_T = np.asarray(x_T, dtype=float)
-    if x_T.shape != (models[0].dim,):
-        raise ValidationError(f"x_T shape {x_T.shape} != ({models[0].dim},)")
+    def predict(xs, a):
+        return _predict(models, xs, a, config.w_reverse, config, sigma0_sq)
 
-    states = np.empty((n + 1, x_T.shape[0]))
-    eps_hats = np.empty_like(states)
-    states[0] = x_T
+    def step(k, xs, eps_hat, a_from, a_to):
+        z = None if noise is None else noise[:, k]
+        return _reverse(xs, eps_hat, a_from, a_to, config.eta, z)
 
-    k = 0
-    for j in range(n - 1, 0, -1):
-        eps_hats[k] = _predict(models, states[k], alphas[j], config.w_reverse, config, sigma0_sq)
-        noise = rng.standard_normal(x_T.shape[0]) if config.eta > 0.0 else None
-        states[k + 1] = ddim_reverse_step(
-            states[k], eps_hats[k], alphas[j], alphas[j - 1], config.eta, noise
-        )
-        k += 1
-    eps_hats[k] = _predict(models, states[k], alphas[0], config.w_reverse, config, sigma0_sq)
-    if clamped:
-        states[k + 1] = states[k]
-    else:
-        noise = rng.standard_normal(x_T.shape[0]) if config.eta > 0.0 else None
-        states[k + 1] = ddim_reverse_step(
-            states[k], eps_hats[k], alphas[0], a0, config.eta, noise
-        )
-    anchor_alpha = alphas[0] if clamped else a0
-    eps_hats[n] = _predict(models, states[n], anchor_alpha, config.w_reverse, config, sigma0_sq)
-
-    return Trajectory(
-        direction="reverse",
-        timesteps=tuple(reversed(grid)) + (0.0,),
-        alpha_bars=tuple(reversed(alphas)) + (anchor_alpha,),
-        states=states,
-        eps_hats=eps_hats,
-        config=config,
-        start_clamped=clamped,
-    )
+    return _walk("reverse", grid, _backwards(plan), x, predict, step, single, config, clamped)
 
 
 def pinned_reconstruction(
@@ -364,87 +389,46 @@ def pinned_reconstruction(
     target_models: AnalyticModel | ModelPair,
     table: ScheduleTable,
     config: SamplerConfig,
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
 ) -> Trajectory:
-    """Reverse pass pinned to the stored inversion trajectory.
+    """Reverse pass pinned to the stored inversion trajectory (single or batched).
 
-    At each step the source-condition reverse prediction is made from the
-    stored inversion state, and the residual against the stored previous
-    state is added to the running (target-condition) state.  With target ==
-    source the residuals cancel exactly and the run reproduces the inversion
-    path; under a different target the corrections are carried unchanged.
+    It walks the reverse run's steps.  At each step the source-condition
+    reverse prediction is made from the stored inversion state, and the
+    residual against the stored previous state is added to the running
+    (target-condition) state.  With target == source the residuals cancel
+    exactly and the run reproduces the inversion path; under a different
+    target the corrections are carried unchanged.
     """
     source_models = _as_pair(source_models)
     target_models = _as_pair(target_models)
-    grid, alphas, a0, clamped = _grid_and_alphas(table, config)
+    grid, plan, clamped = _step_plan(table, config)
     n = config.n_steps
     if inversion.direction != "inversion":
         raise ValidationError("pinned reconstruction needs an inversion trajectory")
-    if inversion.states.shape[0] != n + 1 or inversion.timesteps != (0.0,) + grid:
+    stored = inversion.states.reshape(-1, *inversion.states.shape[-2:])
+    if stored.shape[1] != n + 1 or inversion.timesteps != (0.0,) + grid:
         raise ValidationError("inversion trajectory does not cover the sampler grid")
-
+    noise = _noise(seed, (stored.shape[0], n, stored.shape[2]), config.eta)
     sigma0_src = data_variance(source_models[0])
     sigma0_tgt = data_variance(target_models[0])
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    dim = inversion.states.shape[1]
 
-    states = np.empty((n + 1, dim))
-    eps_hats = np.empty_like(states)
-    states[0] = inversion.states[n]
+    def predict(xs, a):
+        return _predict(target_models, xs, a, config.w_reverse, config, sigma0_tgt)
 
-    k = 0
-    for j in range(n - 1, 0, -1):
-        # inversion.states[j + 1] sits at grid[j]; states[k] is the target branch there
-        noise = rng.standard_normal(dim) if config.eta > 0.0 else None
-        eps_src = _predict(
-            source_models, inversion.states[j + 1], alphas[j], config.w_reverse, config, sigma0_src
-        )
-        src_pred = ddim_reverse_step(
-            inversion.states[j + 1], eps_src, alphas[j], alphas[j - 1], config.eta, noise
-        )
-        correction = inversion.states[j] - src_pred
-        eps_hats[k] = _predict(
-            target_models, states[k], alphas[j], config.w_reverse, config, sigma0_tgt
-        )
-        states[k + 1] = (
-            ddim_reverse_step(states[k], eps_hats[k], alphas[j], alphas[j - 1], config.eta, noise)
-            + correction
-        )
-        k += 1
+    def step(k, xs, eps_hat, a_from, a_to):
+        # stored[:, n - k] sits where the running target branch xs is
+        z = None if noise is None else noise[:, k]
+        src = stored[:, n - k]
+        eps_src = None
+        if a_from != a_to:
+            eps_src = _predict(source_models, src, a_from, config.w_reverse, config, sigma0_src)
+        correction = stored[:, n - k - 1] - _reverse(src, eps_src, a_from, a_to, config.eta, z)
+        return _reverse(xs, eps_hat, a_from, a_to, config.eta, z) + correction
 
-    eps_hats[k] = _predict(
-        target_models, states[k], alphas[0], config.w_reverse, config, sigma0_tgt
-    )
-    if clamped:
-        correction = inversion.states[0] - inversion.states[1]
-        states[k + 1] = states[k] + correction
-    else:
-        noise = rng.standard_normal(dim) if config.eta > 0.0 else None
-        eps_src = _predict(
-            source_models, inversion.states[1], alphas[0], config.w_reverse, config, sigma0_src
-        )
-        src_pred = ddim_reverse_step(
-            inversion.states[1], eps_src, alphas[0], a0, config.eta, noise
-        )
-        correction = inversion.states[0] - src_pred
-        states[k + 1] = (
-            ddim_reverse_step(states[k], eps_hats[k], alphas[0], a0, config.eta, noise)
-            + correction
-        )
-    anchor_alpha = alphas[0] if clamped else a0
-    eps_hats[n] = _predict(
-        target_models, states[n], anchor_alpha, config.w_reverse, config, sigma0_tgt
-    )
-
-    return Trajectory(
-        direction="reverse",
-        timesteps=tuple(reversed(grid)) + (0.0,),
-        alpha_bars=tuple(reversed(alphas)) + (anchor_alpha,),
-        states=states,
-        eps_hats=eps_hats,
-        config=config,
-        start_clamped=clamped,
-    )
+    single = inversion.states.ndim == 2
+    plan = _backwards(plan)
+    return _walk("reverse", grid, plan, stored[:, n], predict, step, single, config, clamped)
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +444,9 @@ class OdeResult:
 
 
 def ode_velocity(model: AnalyticModel, spec, t: float, x: np.ndarray) -> np.ndarray:
-    """dx/dt of the deterministic flow with the exact score substituted.
+    """dx/dt of the deterministic flow at a (dim,) or (S, dim) state x.
 
+    The exact score is substituted:
     dx/dt = 0.5 * dlog(a)/dt * (x - eps_hat(x, a) / sqrt(1 - a)), evaluated on
     the smooth alpha_bar form.
     """
@@ -479,7 +464,10 @@ def ode_solve(
     t_to: float,
     n_fine: int,
 ) -> np.ndarray:
-    """Classical fixed-step RK4 integration of the flow from t_from to t_to."""
+    """Classical fixed-step RK4 integration of the flow from t_from to t_to.
+
+    ``x_start`` is (dim,) or (S, dim); each row is integrated on its own.
+    """
     if n_fine < 1:
         raise ValidationError(f"n_fine must be >= 1, got {n_fine}")
     x = np.array(x_start, dtype=float)
@@ -530,7 +518,13 @@ def ode_reference_solve(
 TRAJECTORY_CSV_HEADER = ("step", "t", "alpha_bar", "x_norm", "eps_norm")
 
 
+def _single(traj: Trajectory) -> None:
+    if traj.states.ndim != 2:
+        raise ValidationError("trajectory dumps take one seed; use Trajectory.row(i)")
+
+
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
+    _single(traj)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(TRAJECTORY_CSV_HEADER)
@@ -549,6 +543,7 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
 def write_trajectory_bin(traj: Trajectory, path: str | Path) -> None:
     """Full-state dump: 8-byte magic, dim and length as u64 LE, then
     row-major little-endian float64 states."""
+    _single(traj)
     states = np.ascontiguousarray(traj.states, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(TRAJECTORY_MAGIC)

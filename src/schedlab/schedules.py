@@ -211,6 +211,10 @@ def scaled_linear_beta(spec: ScheduleSpec, i: int) -> float:
     return BETA_START_SCALE / T + 19.9 * i / (T * (T - 1.0))
 
 
+def _product_factor(spec: ScheduleSpec, i: int) -> float:
+    return 1.0 - min(scaled_linear_beta(spec, i), BETA_MAX)
+
+
 def scaled_linear_alpha_bar_product(spec: ScheduleSpec, t: int) -> float:
     """Exact cumulative product prod_{i=1..t} (1 - beta_i) at integer t.
 
@@ -224,7 +228,7 @@ def scaled_linear_alpha_bar_product(spec: ScheduleSpec, t: int) -> float:
         raise DomainError(f"product form needs integer t in [0, T], got {t!r}")
     out = 1.0
     for i in range(1, ti + 1):
-        out *= 1.0 - min(scaled_linear_beta(spec, i), BETA_MAX)
+        out *= _product_factor(spec, i)
     return out
 
 
@@ -291,7 +295,21 @@ def build_table(spec: ScheduleSpec, grid: Sequence[float]) -> ScheduleTable:
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValidationError("grid must be strictly increasing")
 
-    alpha = [eval_alpha_bar(spec, t) for t in ts]
+    if spec.family is Family.SCALED_LINEAR:
+        # one left-to-right running product over the increasing integer grid
+        # points: the multiplications of scaled_linear_alpha_bar_product, in
+        # its order, shared between rows
+        alpha, prod, done = [], 1.0, 0
+        for t in ts:
+            if not t.is_integer():
+                alpha.append(eval_alpha_bar(spec, t))
+                continue
+            for i in range(done + 1, int(t) + 1):
+                prod *= _product_factor(spec, i)
+            done = int(t)
+            alpha.append(_clamp(_affine_map(spec, prod)))
+    else:
+        alpha = [eval_alpha_bar(spec, t) for t in ts]
     beta = [min(1.0 - alpha[0], BETA_MAX)]
     for prev, cur in zip(alpha, alpha[1:]):
         beta.append(min(1.0 - cur / prev, BETA_MAX))

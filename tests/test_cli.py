@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from schedlab import Family, ScheduleSpec, build_table, logsnr_linearity_fit
@@ -270,22 +271,41 @@ def test_sweep_empty_axis_rejected(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
-def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
+def test_sweep_batch_matches_single_seed_sweeps(tmp_path):
+    # a seed's numbers do not depend on the seeds it is batched with: each
+    # value's mean over a 4-seed sweep is, byte for byte, the mean of the
+    # same seeds' 1-seed sweeps, and the per-seed roundtrip rows are equal
+    seeds = [0, 1, 2, 3]
     cfg = roundtrip_config(
         tmp_path,
-        name="par",
-        seeds=[0],
-        sweep={"axis": "n_steps", "values": [10, 20, 30, 40], "command": "roundtrip"},
+        name="bat",
+        seeds=seeds,
+        sampler={"n_steps": 10, "eta": 1.0},
+        schedule={"family": "scaled_linear", "T": 1000},
+        sweep={"axis": "n_steps", "values": [10, 20, 40], "command": "roundtrip"},
     )
-    out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-    monkeypatch.setenv("SCHEDLAB_THREADS", "1")
-    assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
-    monkeypatch.setenv("SCHEDLAB_THREADS", "4")
-    assert main(["sweep", "--config", cfg, "--out", str(out2)]) == 0
-    assert (out1 / "par_sweep.csv").read_bytes() == (out2 / "par_sweep.csv").read_bytes()
-    assert (out1 / "par_sweep_reports.json").read_bytes() == (
-        out2 / "par_sweep_reports.json"
-    ).read_bytes()
+
+    def run(command, out, *extra):
+        assert main([command, "--config", cfg, "--out", str(out), *extra]) == 0
+        return out
+
+    def reports(out):
+        return json.loads((out / "bat_sweep_reports.json").read_text())
+
+    batch = reports(run("sweep", tmp_path / "batch"))
+    singles = [reports(run("sweep", tmp_path / f"s{s}", "--seed", str(s))) for s in seeds]
+    for i, report in enumerate(batch):
+        per_seed = [single[i] for single in singles]
+        assert report["roundtrip_mse"] == float(np.mean([r["roundtrip_mse"] for r in per_seed]))
+        assert report["local_errors"] == np.mean(
+            [r["local_errors"] for r in per_seed], axis=0
+        ).tolist()
+
+    batch_out = run("roundtrip", tmp_path / "rt_batch")
+    single_outs = [run("roundtrip", tmp_path / f"rt{s}", "--seed", str(s)) for s in seeds]
+    for name in ("bat_roundtrip.csv", "bat_local_errors.csv"):
+        single_rows = [row for out in single_outs for row in read_rows(out / name)[1:]]
+        assert read_rows(batch_out / name)[1:] == single_rows
 
 
 # ---------------------------------------------------------------------------

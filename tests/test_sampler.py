@@ -14,7 +14,9 @@ from schedlab import (
     ddim_invert_step,
     ddim_reverse_step,
     eval_alpha_bar,
+    exact_eps,
     forward_closed_form,
+    guided_eps,
     ode_reference_solve,
     ode_solve,
     pinned_reconstruction,
@@ -325,6 +327,16 @@ def test_ode_zero_length_span():
     np.testing.assert_array_equal(out, x)
 
 
+def test_ode_solve_batch_matches_rows():
+    bed = mixture_testbed()
+    x = np.stack([sample_x0(bed.source, seed, 1)[0] for seed in range(3)])
+    spec = logistic_spec(T=1000)
+    batch = ode_solve(bed.source, x, spec, 0.0, 500.0, 20)
+    assert batch.shape == (3, 8)
+    for i in range(3):
+        assert np.array_equal(batch[i], ode_solve(bed.source, x[i], spec, 0.0, 500.0, 20))
+
+
 def test_ode_reverse_direction_round_trip():
     bed = mixture_testbed()
     table, _ = make_table(logistic_spec(T=1000), 50)
@@ -339,20 +351,17 @@ def test_first_step_error_scaled_linear_exceeds_logistic():
     # the near-singular start of the scaled-linear schedule costs accuracy
     bed = mixture_testbed()
     cfg = SamplerConfig(n_steps=50)
+    seeds = range(100)
+    x0 = np.stack([sample_x0(bed.source, seed, 1)[0] for seed in seeds])
 
     def mean_first_step_error(spec):
         table = build_table(spec, time_grid(cfg, spec.T))
-        total = 0.0
-        n_seeds = 100
-        for seed in range(n_seeds):
-            x0 = sample_x0(bed.source, seed, 1)[0]
-            inv = run_inversion((bed.uncond, bed.source), x0, table, cfg, seed)
-            t_lo = table.timesteps[0] if inv.start_clamped else 0.0
-            oracle = ode_solve(
-                bed.source, inv.states[0], spec, t_lo, table.timesteps[1], 200
-            )
-            total += float(np.linalg.norm(inv.states[2] - oracle))
-        return total / n_seeds
+        inv = run_inversion((bed.uncond, bed.source), x0, table, cfg, seeds)
+        t_lo = table.timesteps[0] if inv.start_clamped else 0.0
+        oracle = ode_solve(
+            bed.source, inv.states[:, 0], spec, t_lo, table.timesteps[1], 200
+        )
+        return float(np.mean(np.linalg.norm(inv.states[:, 2] - oracle, axis=-1)))
 
     err_linear = mean_first_step_error(ScheduleSpec(family=Family.SCALED_LINEAR, T=1000))
     err_logistic = mean_first_step_error(logistic_spec(T=1000))
@@ -365,13 +374,12 @@ def test_reverse_under_target_moves_toward_target_mean():
     bed = mixture_testbed()
     table, cfg = make_table(logistic_spec(T=1000), 50)
     shift = bed.edit_direction[1]
-    wins = 0
-    for seed in range(100):
-        x0 = sample_x0(bed.source, seed, 1)[0]
-        inv = run_inversion((bed.uncond, bed.source), x0, table, cfg, seed)
-        edited = run_reverse((bed.uncond, bed.target), inv.states[-1], table, cfg, seed)
-        coord = edited.states[-1][1]
-        wins += abs(coord - shift) < abs(coord)
+    seeds = range(100)
+    x0 = np.stack([sample_x0(bed.source, seed, 1)[0] for seed in seeds])
+    inv = run_inversion((bed.uncond, bed.source), x0, table, cfg, seeds)
+    edited = run_reverse((bed.uncond, bed.target), inv.states[:, -1], table, cfg, seeds)
+    coord = edited.states[:, -1, 1]
+    wins = int(np.sum(np.abs(coord - shift) < np.abs(coord)))
     assert wins > 50
 
 
@@ -385,16 +393,96 @@ def test_roundtrip_error_order_near_one():
         points = []
         for n in (25, 50, 100, 200, 400):
             table, cfg = make_table(spec, n)
-            errs = []
-            for seed in range(8):
-                x0 = sample_x0(bed.source, seed, 1)[0]
-                inv = run_inversion((bed.uncond, bed.source), x0, table, cfg, seed)
-                rev = run_reverse((bed.uncond, bed.source), inv.states[-1], table, cfg, seed)
-                errs.append(float(np.linalg.norm(rev.states[-1] - inv.states[0])))
+            seeds = range(8)
+            x0 = np.stack([sample_x0(bed.source, seed, 1)[0] for seed in seeds])
+            inv = run_inversion((bed.uncond, bed.source), x0, table, cfg, seeds)
+            rev = run_reverse((bed.uncond, bed.source), inv.states[:, -1], table, cfg, seeds)
+            gaps = rev.states[:, -1] - inv.states[:, 0]
+            errs = [float(np.linalg.norm(gap)) for gap in gaps]
             points.append((n, float(np.mean(errs))))
         order, r2 = convergence_order_fit(points)
         assert 0.8 <= order <= 1.3, (spec.family, order)
         assert r2 >= 0.95
+
+
+# ---------------------------------------------------------------------------
+# seed batches
+
+BATCH_SEEDS = (11, 12, 13, 14, 15)
+
+
+def test_predictors_on_batches_equal_per_row_calls():
+    bed = mixture_testbed()
+    single = point_mass_model(8)
+    x = np.random.default_rng(3).standard_normal((9, 8)) * 3.0
+    for a in (1e-4, 0.3, 0.97):
+        for model in (bed.source, bed.target, single):
+            batch = exact_eps(model, x, a)
+            assert batch.shape == x.shape
+            for i in range(len(x)):
+                assert np.array_equal(batch[i], exact_eps(model, x[i], a))
+        batch = guided_eps(bed.uncond, bed.target, x, a, 7.5)
+        for i in range(len(x)):
+            assert np.array_equal(batch[i], guided_eps(bed.uncond, bed.target, x[i], a, 7.5))
+
+
+@pytest.mark.parametrize("family", [Family.SCALED_LINEAR, Family.LOGISTIC])
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+def test_seed_results_do_not_depend_on_batch(family, eta):
+    bed = mixture_testbed()
+    spec = ScheduleSpec(family=family, T=1000)
+    table, cfg = make_table(spec, 20, eta=eta)
+    src = (bed.uncond, bed.source)
+    tgt = (bed.uncond, bed.target)
+
+    def run(seeds):
+        x0 = np.stack([sample_x0(bed.source, s, 1)[0] for s in seeds])
+        inv = run_inversion(src, x0, table, cfg, seeds)
+        rev = run_reverse(src, inv.states[:, -1], table, cfg, seeds)
+        pinned = pinned_reconstruction(inv, src, tgt, table, cfg, seeds)
+        return {s: (inv.row(i), rev.row(i), pinned.row(i)) for i, s in enumerate(seeds)}
+
+    batch = run(BATCH_SEEDS)
+    shifted = run(BATCH_SEEDS[2:] + BATCH_SEEDS[:2])
+    for seed in (BATCH_SEEDS[0], BATCH_SEEDS[3]):
+        alone = run((seed,))[seed]
+        for traj, in_batch, moved in zip(alone, batch[seed], shifted[seed]):
+            assert traj.start_clamped == (family is Family.SCALED_LINEAR)
+            assert np.array_equal(traj.states, in_batch.states)
+            assert np.array_equal(traj.states, moved.states)
+            assert np.array_equal(traj.eps_hats, in_batch.eps_hats)
+
+
+def test_single_state_runs_match_one_seed_batches():
+    bed = mixture_testbed()
+    table, cfg = make_table(ScheduleSpec(family=Family.COSINE, T=1000), 15, eta=0.5)
+    x0 = sample_x0(bed.source, 4, 1)
+    src = (bed.uncond, bed.source)
+    inv = run_inversion(src, x0[0], table, cfg, 4)
+    inv_b = run_inversion(src, x0, table, cfg, [4])
+    rev = run_reverse(src, inv.states[-1], table, cfg, 4)
+    rev_b = run_reverse(src, inv_b.states[:, -1], table, cfg, [4])
+    assert inv.states.shape == (16, 8) and inv_b.states.shape == (1, 16, 8)
+    assert np.array_equal(inv.states, inv_b.states[0])
+    assert np.array_equal(rev.states, rev_b.states[0])
+
+
+def test_bad_batch_shapes_rejected():
+    bed = mixture_testbed()
+    table, cfg = make_table(logistic_spec(T=1000), 10)
+    wide = np.zeros((3, 9))
+    deep = np.zeros((2, 3, 8))
+    for bad in (wide, deep):
+        with pytest.raises(ValidationError):
+            exact_eps(bed.source, bad, 0.5)
+        with pytest.raises(ValidationError):
+            guided_eps(bed.uncond, bed.target, bad, 0.5, 7.5)
+        with pytest.raises(ValidationError):
+            run_inversion(bed.source, bad, table, cfg, [0, 1, 2])
+        with pytest.raises(ValidationError):
+            run_reverse(bed.source, bad, table, cfg, [0, 1, 2])
+    with pytest.raises(ValidationError):
+        run_reverse(bed.source, np.zeros((3, 8)), table, cfg, [0, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from schedlab import (
     DomainError,
     Family,
     Orientation,
+    SamplerConfig,
     ScheduleSpec,
     ValidationError,
     alpha_bar_continuous,
@@ -18,6 +19,7 @@ from schedlab import (
     scaled_linear_alpha_bar_product,
     scaled_linear_beta,
     terminal_snr,
+    time_grid,
 )
 from schedlab.schedules import (
     integer_grid,
@@ -113,12 +115,22 @@ def test_cosine_table_all_betas_clamped():
 
 
 def test_table_matches_eval_exactly():
-    grid = [0.0, 0.5, 1.0, 7.25, 31.0, 99.0]
-    for family in ALL_FAMILIES:
-        spec = spec_for(family)
-        table = build_table(spec, grid)
-        for t, a in zip(table.timesteps, table.alpha_bar):
-            assert a == eval_alpha_bar(spec, t)
+    # the table's running product must equal the per-point product bitwise,
+    # on a short mixed grid, the full integer grid and an N=30 sampler grid
+    sampler_grid = time_grid(SamplerConfig(n_steps=30), 1000)
+    assert any(t.is_integer() for t in sampler_grid)
+    assert not all(t.is_integer() for t in sampler_grid)
+    cases = [
+        (100, [0.0, 0.5, 1.0, 7.25, 31.0, 99.0]),
+        (1000, integer_grid(1000)),
+        (1000, sampler_grid),
+    ]
+    for T, grid in cases:
+        for family in ALL_FAMILIES:
+            spec = spec_for(family, T=T)
+            table = build_table(spec, grid)
+            for t, a in zip(table.timesteps, table.alpha_bar):
+                assert a == eval_alpha_bar(spec, t), (family, T, t)
 
 
 def test_table_logsnr_strictly_decreasing():
