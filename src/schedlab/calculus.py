@@ -25,6 +25,8 @@ import numpy as np
 from .errors import ValidationError
 from .schedules import (
     ALPHA_BAR_MIN,
+    BETA_SLOPE_SCALE,
+    BETA_START_SCALE,
     Family,
     Orientation,
     ScheduleSpec,
@@ -49,9 +51,8 @@ def d_alpha_bar_dt(spec: ScheduleSpec, t: float) -> float:
     t = _check_t(spec, t)
     T = spec.T
     if spec.family is Family.SCALED_LINEAR:
-        f = -0.1 * t / T - 19.9 * t * (t + 1.0) / (2.0 * T * (T - 1.0))
-        fp = -0.1 / T - 19.9 * (2.0 * t + 1.0) / (2.0 * T * (T - 1.0))
-        raw = math.exp(f) * fp
+        fp = -BETA_START_SCALE / T - BETA_SLOPE_SCALE * (2.0 * t + 1.0) / (2.0 * T * (T - 1.0))
+        raw = _raw_alpha_bar(spec, t) * fp
     elif spec.family is Family.COSINE:
         u = _cosine_angle(spec, t)
         c0 = math.cos(_cosine_angle(spec, 0.0))

@@ -4,11 +4,17 @@
 
 Commands: schedule-dump, singularity-scan, roundtrip, edit-sim, sweep.
 
-Configs are JSON with a mandatory ``version`` field; unknown keys are
-rejected at every level so sweep-axis typos fail fast.  Each command writes
-plot-ready CSV data plus a report JSON, with volatile values (timestamps,
-wall times) isolated in a separate ``*_meta.json`` so data artifacts are
-byte-identical across reruns.  All writes are write-temp-then-rename.
+Configs are JSON with a mandatory ``version`` field.  Every section is a
+frozen dataclass (``ConfigFile`` and the classes it names) built by
+``schema.build``: unknown keys are rejected at every level so sweep-axis
+typos fail fast, and values must have their field's JSON type exactly
+(integers for int fields, finite numbers for floats, ``true``/``false`` for
+flags).  A ``sweep`` section sets one axis of ``SWEEP_AXES`` per run; a
+``guidance`` value is a ``[w_invert, w_reverse]`` pair, so a guidance matrix
+is a sweep over its pairs.  Each command writes plot-ready CSV data plus a
+report JSON, with volatile values (timestamps, wall times) isolated in a
+separate ``*_meta.json`` so data artifacts are byte-identical across reruns.
+All writes are write-temp-then-rename.
 
 Exit codes: 0 success, 2 config validation error, 3 numeric domain error,
 4 I/O error.
@@ -17,6 +23,7 @@ Exit codes: 0 success, 2 config validation error, 3 numeric domain error,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import io
 import json
@@ -26,30 +33,18 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__
+from . import __version__, schema
 from .calculus import scan_csv_text, singularity_scan
 from .errors import DomainError, ValidationError
-from .harness import (
-    EditResult,
-    ScenarioConfig,
-    run_edit_scenario,
-    run_roundtrip_scenario,
-)
-from .models import AnalyticModel, model_from_dict
-from .presets import (
-    K_VALUES,
-    T0_FRACTIONS,
-    input_scale_values,
-    resolve_model_preset,
-)
+from .harness import ScenarioConfig, run_edit_scenario, run_roundtrip_scenario
+from .models import AnalyticModel
+from .presets import K_VALUES, T0_FRACTIONS, input_scale_values, resolve_model_preset
 from .sampler import SamplerConfig
 from .schedules import (
-    AffineNormalization,
-    Family,
-    Orientation,
     ScheduleSpec,
     build_table,
     format_float,
+    integer_grid,
     schedule_csv_text,
 )
 
@@ -60,168 +55,138 @@ EXIT_IO = 4
 
 CONFIG_VERSION = 1
 
+#: sweep axis -> (scenario section, the fields one sweep value sets)
+SWEEP_AXES = {
+    "n_steps": ("sampler", ("n_steps",)),
+    "k": ("schedule", ("k",)),
+    "t0": ("schedule", ("t0",)),
+    "input_scale_b": ("sampler", ("input_scale_b",)),
+    "guidance": ("sampler", ("w_invert", "w_reverse")),
+}
+#: axis -> its published values for ``"values": "preset"``, given T
+SWEEP_PRESETS = {
+    "k": lambda T: list(K_VALUES),
+    "t0": lambda T: [float(int(f * T)) for f in T0_FRACTIONS],
+    "input_scale_b": lambda T: input_scale_values(),
+}
+
 
 # ---------------------------------------------------------------------------
-# strict config parsing
+# config schema: each section is a frozen dataclass built by schema.build
 
-def _require_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ValidationError(f"unknown {where} fields: {sorted(unknown)}")
+
+@dataclasses.dataclass(frozen=True)
+class ModelsSection:
+    """Preset names (``mixture8.*``, ``pointmass8``) or inline model
+    descriptions; ``uncond`` defaults to ``source``."""
+
+    source: str | AnalyticModel
+    uncond: str | AnalyticModel | None = None
+    target: str | AnalyticModel | None = None
+
+
+@dataclasses.dataclass(frozen=True)
+class GridSection:
+    stop: int
+    start: int = 0
+
+
+@dataclasses.dataclass(frozen=True)
+class ScanSection:
+    t_min: float
+    t_max: float
+    n: int
+
+
+@dataclasses.dataclass(frozen=True)
+class SweepSection:
+    axis: str
+    values: object  # "preset" or a non-empty list, typed per axis by _sweep_scenario
+    command: str = "roundtrip"
+
+    def __post_init__(self) -> None:
+        if self.axis not in SWEEP_AXES:
+            raise ValidationError(f"unknown sweep axis {self.axis!r}; known: {list(SWEEP_AXES)}")
+        if self.command not in ("roundtrip", "edit-sim"):
+            raise ValidationError(f"sweep command must be roundtrip|edit-sim, got {self.command!r}")
+        if self.values == "preset":
+            if self.axis not in SWEEP_PRESETS:
+                raise ValidationError(f"axis {self.axis!r} has no preset values")
+        elif not isinstance(self.values, list) or not self.values:
+            raise ValidationError("sweep values must be a non-empty list or 'preset'")
+
+
+@dataclasses.dataclass(frozen=True)
+class ConfigFile:
+    """A whole config file; commands check that the sections they use are set."""
+
+    version: int
+    name: str
+    schedule: ScheduleSpec | None = None
+    sampler: SamplerConfig | None = None
+    models: ModelsSection | None = None
+    seeds: tuple[int, ...] | None = None
+    edit_direction: tuple[float, ...] | None = None
+    psnr_max_val: float | None = None
+    grid: GridSection | None = None
+    scan: ScanSection | None = None
+    sweep: SweepSection | None = None
+    output_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.version != CONFIG_VERSION:
+            raise ValidationError(f"config version must be {CONFIG_VERSION}, got {self.version}")
+
+    def need(self, user: str, *keys: str) -> None:
+        for key in keys:
+            if getattr(self, key) is None:
+                raise ValidationError(f"{user} needs '{key}' in the config")
+
+
+def _load(path: str | Path) -> tuple[dict, ConfigFile]:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValidationError(f"config is not valid JSON: {exc}") from exc
+    return data, parse_config(data)
 
 
 def load_config(path: str | Path) -> dict:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValidationError("config root must be a JSON object")
-    _require_keys(
-        data,
-        {
-            "version",
-            "name",
-            "schedule",
-            "sampler",
-            "models",
-            "seeds",
-            "edit_direction",
-            "psnr_max_val",
-            "grid",
-            "scan",
-            "guidance_grid",
-            "sweep",
-            "output_dir",
-        },
-        "config",
-    )
-    if data.get("version") != CONFIG_VERSION:
-        raise ValidationError(
-            f"config version must be {CONFIG_VERSION}, got {data.get('version')!r}"
-        )
-    if "name" not in data:
-        raise ValidationError("config needs a 'name'")
-    return data
+    """The config file's JSON object, after checking all of it against ConfigFile."""
+    return _load(path)[0]
+
+
+def parse_config(data: dict) -> ConfigFile:
+    return schema.build(ConfigFile, data, "config")
 
 
 def parse_schedule(section: dict) -> ScheduleSpec:
-    _require_keys(
-        section,
-        {
-            "family",
-            "T",
-            "k",
-            "t0",
-            "s",
-            "sigmoid_start",
-            "sigmoid_end",
-            "sigmoid_tau",
-            "orientation",
-            "normalization",
-        },
-        "schedule",
-    )
-    if "family" not in section:
-        raise ValidationError("schedule needs a 'family'")
-    try:
-        family = Family(section["family"])
-    except ValueError as exc:
-        raise ValidationError(f"unknown family {section['family']!r}") from exc
-    kwargs: dict = {"family": family}
-    for key in ("T",):
-        if key in section:
-            kwargs[key] = int(section[key])
-    for key in ("k", "t0", "s", "sigmoid_start", "sigmoid_end", "sigmoid_tau"):
-        if key in section:
-            kwargs[key] = float(section[key])
-    if "orientation" in section:
-        try:
-            kwargs["orientation"] = Orientation(section["orientation"])
-        except ValueError as exc:
-            raise ValidationError(
-                f"unknown orientation {section['orientation']!r}"
-            ) from exc
-    norm = section.get("normalization")
-    if norm is not None:
-        _require_keys(norm, {"alpha_bar_at_T_target"}, "normalization")
-        kwargs["normalization"] = AffineNormalization(
-            alpha_bar_at_T_target=float(norm["alpha_bar_at_T_target"])
-        )
-    return ScheduleSpec(**kwargs)
-
-
-def parse_sampler(section: dict) -> SamplerConfig:
-    _require_keys(
-        section,
-        {
-            "n_steps",
-            "eta",
-            "step_offset",
-            "w_invert",
-            "w_reverse",
-            "input_scale_b",
-            "variance_normalize",
-        },
-        "sampler",
-    )
-    if "n_steps" not in section:
-        raise ValidationError("sampler needs 'n_steps'")
-    kwargs: dict = {"n_steps": int(section["n_steps"])}
-    if "step_offset" in section:
-        kwargs["step_offset"] = int(section["step_offset"])
-    for key in ("eta", "w_invert", "w_reverse", "input_scale_b"):
-        if key in section:
-            kwargs[key] = float(section[key])
-    if "variance_normalize" in section:
-        kwargs["variance_normalize"] = bool(section["variance_normalize"])
-    return SamplerConfig(**kwargs)
-
-
-def _parse_model(entry) -> AnalyticModel:
-    if isinstance(entry, str):
-        return resolve_model_preset(entry)
-    if isinstance(entry, dict):
-        return model_from_dict(entry)
-    raise ValidationError(f"model must be a preset name or description, got {entry!r}")
-
-
-def parse_models(section: dict) -> tuple[AnalyticModel, AnalyticModel, AnalyticModel | None]:
-    _require_keys(section, {"uncond", "source", "target"}, "models")
-    if "source" not in section:
-        raise ValidationError("models need at least a 'source'")
-    source = _parse_model(section["source"])
-    uncond = _parse_model(section["uncond"]) if "uncond" in section else source
-    target = (
-        _parse_model(section["target"]) if section.get("target") is not None else None
-    )
-    return uncond, source, target
+    return schema.build(ScheduleSpec, section, "schedule")
 
 
 def parse_scenario(data: dict, seed_override: int | None) -> ScenarioConfig:
-    for key in ("schedule", "sampler", "models", "seeds"):
-        if key not in data:
-            raise ValidationError(f"config needs a '{key}' section for this command")
-    seeds = data["seeds"]
-    if not isinstance(seeds, list) or not seeds:
-        raise ValidationError("'seeds' must be a non-empty list of integers")
-    if seed_override is not None:
-        seeds = [seed_override]
-    uncond, source, target = parse_models(data["models"])
-    direction = data.get("edit_direction")
+    return _scenario(parse_config(data), seed_override)
+
+
+def _model(entry: str | AnalyticModel) -> AnalyticModel:
+    return resolve_model_preset(entry) if isinstance(entry, str) else entry
+
+
+def _scenario(cfg: ConfigFile, seed_override: int | None) -> ScenarioConfig:
+    cfg.need("a scenario", "schedule", "sampler", "models", "seeds")
+    models = cfg.models
+    source = _model(models.source)
     return ScenarioConfig(
-        name=str(data["name"]),
-        schedule=parse_schedule(data["schedule"]),
-        sampler=parse_sampler(data["sampler"]),
-        uncond=uncond,
+        name=cfg.name,
+        schedule=cfg.schedule,
+        sampler=cfg.sampler,
+        uncond=source if models.uncond is None else _model(models.uncond),
         source=source,
-        target=target,
-        seeds=tuple(int(s) for s in seeds),
-        edit_direction=tuple(float(v) for v in direction) if direction else None,
-        psnr_max_val=(
-            float(data["psnr_max_val"]) if data.get("psnr_max_val") is not None else None
-        ),
+        target=None if models.target is None else _model(models.target),
+        seeds=cfg.seeds if seed_override is None else (seed_override,),
+        edit_direction=cfg.edit_direction or None,
+        psnr_max_val=cfg.psnr_max_val,
     )
 
 
@@ -238,9 +203,9 @@ def _atomic_write(path: Path, data: str | bytes) -> None:
 
 def _write_csv(path: Path, header: tuple[str, ...], rows: list[list[str]]) -> None:
     buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(row) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
     _atomic_write(path, buf.getvalue())
 
 
@@ -260,8 +225,8 @@ def _write_meta(out: Path, name: str, command: str, wall: float) -> None:
     )
 
 
-def _out_dir(args, data: dict) -> Path:
-    out = Path(args.out or data.get("output_dir") or "schedlab_out")
+def _out_dir(args, cfg: ConfigFile) -> Path:
+    out = Path(args.out or cfg.output_dir or "schedlab_out")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -269,60 +234,40 @@ def _out_dir(args, data: dict) -> Path:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_schedule_dump(args) -> int:
-    start = time.perf_counter()
-    data = load_config(args.config)
-    if "schedule" not in data:
-        raise ValidationError("schedule-dump needs a 'schedule' section")
-    spec = parse_schedule(data["schedule"])
+def cmd_schedule_dump(args, cfg: ConfigFile, start: float) -> int:
+    cfg.need("schedule-dump", "schedule")
+    grid = cfg.grid or GridSection(stop=cfg.schedule.T)
     if args.grid is not None:
-        grid = [float(t) for t in range(0, args.grid + 1)]
-    elif "grid" in data:
-        g = data["grid"]
-        _require_keys(g, {"start", "stop"}, "grid")
-        grid = [float(t) for t in range(int(g.get("start", 0)), int(g["stop"]) + 1)]
-    else:
-        grid = [float(t) for t in range(0, spec.T + 1)]
-    table = build_table(spec, grid)
+        grid = GridSection(stop=args.grid)
+    table = build_table(cfg.schedule, integer_grid(grid.stop, grid.start))
 
-    out = _out_dir(args, data)
-    name = data["name"]
-    path = out / f"{name}_schedule.csv"
+    out = _out_dir(args, cfg)
+    path = out / f"{cfg.name}_schedule.csv"
     _atomic_write(path, schedule_csv_text(table))
-    _write_meta(out, name, "schedule-dump", time.perf_counter() - start)
-    print(f"wrote {path} ({len(grid)} rows)")
+    _write_meta(out, cfg.name, "schedule-dump", time.perf_counter() - start)
+    print(f"wrote {path} ({len(table.timesteps)} rows)")
     return EXIT_OK
 
 
-def cmd_singularity_scan(args) -> int:
-    start = time.perf_counter()
-    data = load_config(args.config)
-    for key in ("schedule", "scan"):
-        if key not in data:
-            raise ValidationError(f"singularity-scan needs a '{key}' section")
-    spec = parse_schedule(data["schedule"])
-    scan = data["scan"]
-    _require_keys(scan, {"t_min", "t_max", "n"}, "scan")
-    n = args.grid if args.grid is not None else int(scan["n"])
-    rows = singularity_scan(spec, float(scan["t_min"]), float(scan["t_max"]), n)
+def cmd_singularity_scan(args, cfg: ConfigFile, start: float) -> int:
+    cfg.need("singularity-scan", "schedule", "scan")
+    scan = cfg.scan
+    n = args.grid if args.grid is not None else scan.n
+    rows = singularity_scan(cfg.schedule, scan.t_min, scan.t_max, n)
 
-    out = _out_dir(args, data)
-    name = data["name"]
-    path = out / f"{name}_scan.csv"
+    out = _out_dir(args, cfg)
+    path = out / f"{cfg.name}_scan.csv"
     _atomic_write(path, scan_csv_text(rows))
-    _write_meta(out, name, "singularity-scan", time.perf_counter() - start)
+    _write_meta(out, cfg.name, "singularity-scan", time.perf_counter() - start)
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 
 
-def cmd_roundtrip(args) -> int:
-    start = time.perf_counter()
-    data = load_config(args.config)
-    scenario = parse_scenario(data, args.seed)
-    report, results = run_roundtrip_scenario(scenario)
+def cmd_roundtrip(args, cfg: ConfigFile, start: float) -> int:
+    report, results = run_roundtrip_scenario(_scenario(cfg, args.seed))
 
-    out = _out_dir(args, data)
-    name = data["name"]
+    out = _out_dir(args, cfg)
+    name = cfg.name
     _write_csv(
         out / f"{name}_roundtrip.csv",
         ("seed", "roundtrip_mse", "roundtrip_psnr"),
@@ -347,60 +292,27 @@ def cmd_roundtrip(args) -> int:
     return EXIT_OK
 
 
-def _edit_rows(results: list[EditResult]) -> list[list[str]]:
-    return [
-        [
-            str(r.seed),
-            format_float(r.edit_drift),
-            format_float(r.pinned_edit_drift),
-            format_float(r.roundtrip_mse),
-        ]
-        for r in results
-    ]
-
-
-def cmd_edit_sim(args) -> int:
-    start = time.perf_counter()
-    data = load_config(args.config)
-    scenario = parse_scenario(data, args.seed)
+def cmd_edit_sim(args, cfg: ConfigFile, start: float) -> int:
+    scenario = _scenario(cfg, args.seed)
     if scenario.target is None:
         raise ValidationError("edit-sim needs models.target")
     report, results = run_edit_scenario(scenario)
 
-    out = _out_dir(args, data)
-    name = data["name"]
+    out = _out_dir(args, cfg)
+    name = cfg.name
     _write_csv(
         out / f"{name}_edit.csv",
         ("seed", "edit_drift", "pinned_edit_drift", "roundtrip_mse"),
-        _edit_rows(results),
+        [
+            [
+                str(r.seed),
+                format_float(r.edit_drift),
+                format_float(r.pinned_edit_drift),
+                format_float(r.roundtrip_mse),
+            ]
+            for r in results
+        ],
     )
-
-    if "guidance_grid" in data:
-        gg = data["guidance_grid"]
-        _require_keys(gg, {"w_invert", "w_reverse"}, "guidance_grid")
-        w_inv_values = [float(v) for v in gg["w_invert"]]
-        w_rev_values = [float(v) for v in gg["w_reverse"]]
-        if not w_inv_values or not w_rev_values:
-            raise ValidationError("guidance_grid axes must be non-empty")
-        rows = []
-        for wi in w_inv_values:
-            for wr in w_rev_values:
-                cfg = dataclasses.replace(scenario.sampler, w_invert=wi, w_reverse=wr)
-                cell, _ = run_edit_scenario(dataclasses.replace(scenario, sampler=cfg))
-                rows.append(
-                    [
-                        format_float(wi),
-                        format_float(wr),
-                        format_float(cell.edit_drift),
-                        format_float(cell.roundtrip_mse),
-                    ]
-                )
-        _write_csv(
-            out / f"{name}_guidance_matrix.csv",
-            ("w_invert", "w_reverse", "mean_edit_drift", "mean_roundtrip_mse"),
-            rows,
-        )
-
     _write_json(out / f"{name}_report.json", report.to_stable_dict())
     _write_meta(out, name, "edit-sim", time.perf_counter() - start)
     print(
@@ -410,81 +322,42 @@ def cmd_edit_sim(args) -> int:
     return EXIT_OK
 
 
-SWEEP_AXES = ("n_steps", "k", "t0", "input_scale_b", "guidance")
+def _sweep_scenario(base: ScenarioConfig, axis: str, value, where: str) -> ScenarioConfig:
+    """``base`` with one sweep value set.  A one-field axis takes a single
+    value, a multi-field axis a list with one value per field."""
+    section, fields = SWEEP_AXES[axis]
+    parts = [value] if len(fields) == 1 else value
+    if not isinstance(parts, list) or len(parts) != len(fields):
+        raise ValidationError(f"{where} must be a list [{', '.join(fields)}], got {value!r}")
+    changed = schema.replace(getattr(base, section), dict(zip(fields, parts)), where)
+    return dataclasses.replace(base, name=f"{base.name}[{axis}={value}]", **{section: changed})
 
 
-def _sweep_values(axis: str, values, T: int) -> list:
+def cmd_sweep(args, cfg: ConfigFile, start: float) -> int:
+    cfg.need("sweep", "sweep")
+    base = _scenario(cfg, args.seed)
+    axis, values = cfg.sweep.axis, cfg.sweep.values
     if values == "preset":
-        if axis == "k":
-            return list(K_VALUES)
-        if axis == "t0":
-            return [float(int(f * T)) for f in T0_FRACTIONS]
-        if axis == "input_scale_b":
-            return input_scale_values()
-        raise ValidationError(f"axis {axis!r} has no preset values")
-    if not isinstance(values, list) or not values:
-        raise ValidationError("sweep values must be a non-empty list or 'preset'")
-    return values
-
-
-def _sweep_scenario(base: ScenarioConfig, axis: str, value) -> ScenarioConfig:
-    name = f"{base.name}[{axis}={value}]"
-    if axis == "n_steps":
-        sampler = dataclasses.replace(base.sampler, n_steps=int(value))
-        return dataclasses.replace(base, name=name, sampler=sampler)
-    if axis == "k":
-        sched = dataclasses.replace(base.schedule, k=float(value))
-        return dataclasses.replace(base, name=name, schedule=sched)
-    if axis == "t0":
-        sched = dataclasses.replace(base.schedule, t0=float(value))
-        return dataclasses.replace(base, name=name, schedule=sched)
-    if axis == "input_scale_b":
-        sampler = dataclasses.replace(base.sampler, input_scale_b=float(value))
-        return dataclasses.replace(base, name=name, sampler=sampler)
-    if axis == "guidance":
-        wi, wr = value
-        sampler = dataclasses.replace(
-            base.sampler, w_invert=float(wi), w_reverse=float(wr)
-        )
-        return dataclasses.replace(base, name=name, sampler=sampler)
-    raise ValidationError(f"unknown sweep axis {axis!r}; known: {SWEEP_AXES}")
-
-
-def cmd_sweep(args) -> int:
-    start = time.perf_counter()
-    data = load_config(args.config)
-    if "sweep" not in data:
-        raise ValidationError("sweep needs a 'sweep' section")
-    sw = data["sweep"]
-    _require_keys(sw, {"axis", "values", "command"}, "sweep")
-    axis = sw.get("axis")
-    if axis not in SWEEP_AXES:
-        raise ValidationError(f"unknown sweep axis {axis!r}; known: {SWEEP_AXES}")
-    command = sw.get("command", "roundtrip")
-    if command not in ("roundtrip", "edit-sim"):
-        raise ValidationError(f"sweep command must be roundtrip|edit-sim, got {command!r}")
-
-    base = parse_scenario(data, args.seed)
-    values = _sweep_values(axis, sw.get("values"), base.schedule.T)
-    scenarios = [_sweep_scenario(base, axis, v) for v in values]
-
-    runner = run_edit_scenario if command == "edit-sim" else run_roundtrip_scenario
+        values = SWEEP_PRESETS[axis](base.schedule.T)
+    scenarios = [
+        _sweep_scenario(base, axis, v, f"config.sweep.values[{i}]") for i, v in enumerate(values)
+    ]
+    runner = run_edit_scenario if cfg.sweep.command == "edit-sim" else run_roundtrip_scenario
     reports = [runner(sc)[0] for sc in scenarios]
 
-    out = _out_dir(args, data)
-    name = data["name"]
-    rows = []
-    for value, rep in zip(values, reports):
-        rows.append(
-            [
-                axis,
-                json.dumps(value),
-                format_float(rep.roundtrip_mse),
-                format_float(rep.roundtrip_psnr),
-                "" if rep.edit_drift is None else format_float(rep.edit_drift),
-                "" if rep.pinned_edit_drift is None else format_float(rep.pinned_edit_drift),
-            ]
-        )
+    out = _out_dir(args, cfg)
+    name = cfg.name
+    rows = [
+        [
+            axis,
+            json.dumps(value),
+            format_float(rep.roundtrip_mse),
+            format_float(rep.roundtrip_psnr),
+            "" if rep.edit_drift is None else format_float(rep.edit_drift),
+            "" if rep.pinned_edit_drift is None else format_float(rep.pinned_edit_drift),
+        ]
+        for value, rep in zip(values, reports)
+    ]
     _write_csv(
         out / f"{name}_sweep.csv",
         ("axis", "value", "roundtrip_mse", "roundtrip_psnr", "edit_drift", "pinned_edit_drift"),
@@ -530,8 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    start = time.perf_counter()
     try:
-        return args.fn(args)
+        return args.fn(args, _load(args.config)[1], start)
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

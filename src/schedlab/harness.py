@@ -52,6 +52,9 @@ class ScenarioConfig:
             raise ValidationError("scenario needs a non-empty name")
         if not self.seeds:
             raise ValidationError("scenario needs at least one seed")
+        bad = [s for s in self.seeds if not 0 <= s < 2**64]
+        if bad:
+            raise ValidationError(f"seeds must lie in [0, 2**64), got {bad}")
         if self.psnr_max_val is not None and not self.psnr_max_val > 0.0:
             raise ValidationError("psnr_max_val must be > 0")
 

@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ValidationError
+from .schema import build
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -194,31 +195,4 @@ def model_to_dict(model: AnalyticModel) -> dict:
 
 
 def model_from_dict(data: dict) -> AnalyticModel:
-    allowed = {"kind", "dim", "components", "condition_label"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValidationError(f"unknown model fields: {sorted(unknown)}")
-    try:
-        kind = ModelKind(data["kind"])
-    except (KeyError, ValueError) as exc:
-        raise ValidationError(f"bad model kind: {data.get('kind')!r}") from exc
-    if "dim" not in data or "components" not in data:
-        raise ValidationError("model description needs 'dim' and 'components'")
-    comps = []
-    for c in data["components"]:
-        extra = set(c) - {"weight", "mean", "variance"}
-        if extra:
-            raise ValidationError(f"unknown component fields: {sorted(extra)}")
-        comps.append(
-            Component(
-                weight=float(c["weight"]),
-                mean=tuple(float(v) for v in c["mean"]),
-                variance=float(c["variance"]),
-            )
-        )
-    return AnalyticModel(
-        kind=kind,
-        components=tuple(comps),
-        dim=int(data["dim"]),
-        condition_label=data.get("condition_label"),
-    )
+    return build(AnalyticModel, data, "model")

@@ -309,7 +309,8 @@ def _reverse(x, eps_hat, a_from, a_to, eta, noise):
 
 def _walk(direction, grid, plan, x, predict, step, single, config, clamped) -> Trajectory:
     """Walk ``plan`` from the (S, dim) states x: predict at each step's a_from,
-    then ``step(k, x, eps_hat, a_from, a_to)``, and predict once more at the end."""
+    then ``step(k, x, eps_hat, a_from, a_to)``, and predict once more at the end.
+    Raises DomainError if any recorded state is NaN or infinite."""
     n = len(plan)
     states = np.empty((x.shape[0], n + 1, x.shape[1]))
     eps_hats = np.empty_like(states)
@@ -318,6 +319,8 @@ def _walk(direction, grid, plan, x, predict, step, single, config, clamped) -> T
         eps_hats[:, k] = predict(states[:, k], a_from)
         states[:, k + 1] = step(k, states[:, k], eps_hats[:, k], a_from, a_to)
     eps_hats[:, n] = predict(states[:, n], plan[-1][1])
+    if not np.isfinite(states).all():
+        raise DomainError(f"{direction} run left a non-finite state")
     if single:
         states, eps_hats = states[0], eps_hats[0]
     times = (0.0,) + grid if direction == "inversion" else tuple(reversed(grid)) + (0.0,)

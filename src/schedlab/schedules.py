@@ -35,9 +35,11 @@ from .errors import DomainError, ValidationError
 ALPHA_BAR_MIN = 1e-15
 BETA_MAX = 0.999
 
-#: scaled-linear beta endpoints, as multiples of 1/T
+#: scaled-linear beta endpoints, as multiples of 1/T, and the ramp's slope
+#: (exactly 19.9 in float64)
 BETA_START_SCALE = 0.1
 BETA_END_SCALE = 20.0
+BETA_SLOPE_SCALE = BETA_END_SCALE - BETA_START_SCALE
 
 
 class Family(str, enum.Enum):
@@ -150,7 +152,7 @@ def _raw_alpha_bar(spec: ScheduleSpec, t: float) -> float:
     """Family formula before normalization and clamping."""
     T = spec.T
     if spec.family is Family.SCALED_LINEAR:
-        f = -BETA_START_SCALE * t / T - 19.9 * t * (t + 1.0) / (2.0 * T * (T - 1.0))
+        f = -BETA_START_SCALE * t / T - BETA_SLOPE_SCALE * t * (t + 1.0) / (2.0 * T * (T - 1.0))
         return math.exp(f)
     if spec.family is Family.COSINE:
         c = math.cos(_cosine_angle(spec, t))
@@ -208,7 +210,7 @@ def scaled_linear_beta(spec: ScheduleSpec, i: int) -> float:
     if not 0 <= i <= spec.T:
         raise DomainError(f"beta index {i} outside [0, T]")
     T = spec.T
-    return BETA_START_SCALE / T + 19.9 * i / (T * (T - 1.0))
+    return BETA_START_SCALE / T + BETA_SLOPE_SCALE * i / (T * (T - 1.0))
 
 
 def _product_factor(spec: ScheduleSpec, i: int) -> float:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -197,20 +198,26 @@ def test_edit_sim_target_equals_source(tmp_path):
 
 
 def test_edit_sim_guidance_matrix(tmp_path):
+    # the w_invert x w_reverse matrix is a guidance sweep of edit-sim cells;
+    # each [w_invert, w_reverse] value is one CSV field, quoted
+    pairs = [[float(wi), float(wr)] for wi in range(1, 11) for wr in range(3, 26, 2)]
     cfg = roundtrip_config(
         tmp_path,
         name="gg",
         sampler={"n_steps": 20},
         seeds=[0],
-        guidance_grid={
-            "w_invert": [float(w) for w in range(1, 11)],
-            "w_reverse": [float(w) for w in range(3, 26, 2)],
-        },
+        sweep={"axis": "guidance", "values": pairs, "command": "edit-sim"},
     )
-    assert main(["edit-sim", "--config", cfg, "--out", str(tmp_path)]) == 0
-    rows = read_rows(tmp_path / "gg_guidance_matrix.csv")
-    assert rows[0] == "w_invert,w_reverse,mean_edit_drift,mean_roundtrip_mse"
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "gg_sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == [
+        "axis", "value", "roundtrip_mse", "roundtrip_psnr", "edit_drift", "pinned_edit_drift"
+    ]
     assert len(rows) == 1 + 10 * 12
+    assert all(len(row) == 6 for row in rows)
+    assert [json.loads(row[1]) for row in rows[1:]] == pairs
+    assert all(math.isfinite(float(v)) for row in rows[1:] for v in row[2:])
 
 
 def test_edit_sim_requires_target(tmp_path):
@@ -351,6 +358,12 @@ def test_malformed_json_exits_2(tmp_path):
     assert main(["schedule-dump", "--config", str(path)]) == 2
 
 
+def test_non_utf8_config_exits_2(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"version": 1, "name": "caf\xe9"}')
+    assert main(["schedule-dump", "--config", str(path)]) == 2
+
+
 def test_inline_model_description(tmp_path):
     cfg = roundtrip_config(
         tmp_path,
@@ -370,3 +383,98 @@ def test_inline_model_description(tmp_path):
     assert main(["roundtrip", "--config", cfg, "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "inline_report.json").read_text())
     assert report["roundtrip_mse"] <= 1e-10
+
+
+DROP = object()  # deletes the key instead of setting it
+
+INLINE_POINT_MASS = {
+    "kind": "point_mass",
+    "dim": 2,
+    "components": [{"weight": 1.0, "mean": [1.0, -1.0], "variance": 0.0}],
+}
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("edit-sim", ("sampler", "eta"), math.nan),
+        ("edit-sim", ("sampler", "variance_normalize"), "false"),
+        ("edit-sim", ("sampler", "n_steps"), 10.9),
+        ("edit-sim", ("schedule", "T"), 1000.7),
+        ("edit-sim", ("schedule", "T"), True),
+        ("edit-sim", ("schedule", "k"), "abc"),
+        ("edit-sim", ("schedule", "k"), [1]),
+        ("edit-sim", ("schedule", "k"), math.inf),
+        ("edit-sim", ("schedule", "normalization"), 0.5),
+        ("edit-sim", ("seeds",), [1.9]),
+        ("edit-sim", ("seeds",), [True]),
+        ("edit-sim", ("seeds",), [-1]),
+        ("edit-sim", ("seeds",), [2**64]),
+        ("edit-sim", ("name",), 5),
+        ("edit-sim", ("edit_direction",), "ab"),
+        ("edit-sim", ("psnr_max_val",), "x"),
+        ("schedule-dump", ("grid",), {"stop": "x"}),
+        ("singularity-scan", ("scan", "n"), 2.5),
+        ("singularity-scan", ("scan", "t_max"), DROP),
+        ("sweep", ("sweep",), {"axis": "n_steps", "values": [10.5]}),
+        ("sweep", ("sweep",), {"axis": "guidance", "values": [1]}),
+        ("roundtrip", ("models", "source"), dict(INLINE_POINT_MASS, dim=2.5)),
+        (
+            "roundtrip",
+            ("models", "source"),
+            dict(INLINE_POINT_MASS, components=[{"mean": [1.0, -1.0], "variance": 0.0}]),
+        ),
+        ("edit-sim", ("guidance_grid",), {"w_invert": [1.0], "w_reverse": [3.0]}),
+    ],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, command, key, value):
+    payload = {
+        "version": 1,
+        "name": "bad",
+        "schedule": {"family": "logistic", "T": 1000},
+        "sampler": {"n_steps": 10},
+        "models": {
+            "uncond": "mixture8.uncond",
+            "source": "mixture8.source",
+            "target": "mixture8.target",
+        },
+        "seeds": [0],
+        "grid": {"start": 0, "stop": 10},
+        "scan": {"t_min": 1e-6, "t_max": 1.0, "n": 8},
+        "sweep": {"axis": "n_steps", "values": [10]},
+    }
+    section = payload
+    for k in key[:-1]:
+        section = section[k]
+    if value is DROP:
+        del section[key[-1]]
+    else:
+        section[key[-1]] = value
+    cfg = write_config(tmp_path, "bad", payload)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_override_outside_u64_exits_2(tmp_path, capsys, seed):
+    cfg = roundtrip_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["roundtrip", "--config", cfg, "--out", str(out), "--seed", seed]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+def test_largest_u64_seed_runs(tmp_path):
+    cfg = roundtrip_config(tmp_path, sampler={"n_steps": 10}, seeds=[2**64 - 1])
+    assert main(["roundtrip", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_non_finite_edit_exits_3_without_report(tmp_path, capsys):
+    cfg = roundtrip_config(tmp_path, name="huge", sampler={"n_steps": 25, "w_reverse": 1e308})
+    out = tmp_path / "out"
+    assert main(["edit-sim", "--config", cfg, "--out", str(out)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
