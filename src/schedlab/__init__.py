@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .calculus import (
     DerivativeCoefficients,
-    d_alpha_bar_dt,
     dx_dt_coefficients,
     logsnr_linearity_fit,
     singularity_scan,
@@ -54,11 +53,12 @@ from .schedules import (
     ALPHA_BAR_MIN,
     AffineNormalization,
     Family,
-    Orientation,
     ScheduleSpec,
     ScheduleTable,
+    alpha_bar_and_derivative,
     alpha_bar_continuous,
     build_table,
+    d_alpha_bar_dt,
     eval_alpha_bar,
     scaled_linear_alpha_bar_product,
     scaled_linear_beta,

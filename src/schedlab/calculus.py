@@ -1,4 +1,4 @@
-"""Derivatives of alpha_bar(t) and the coefficients of dx_t/dt.
+"""The coefficients of dx_t/dt, their singularity scans and the logSNR fit.
 
 On the deterministic path x_t = sqrt(a)*x0 + sqrt(1-a)*eps with a = alpha_bar(t),
 the chain rule gives
@@ -9,7 +9,8 @@ The eps coefficient blows up wherever a -> 1 with nonzero slope, which is
 exactly the t = 0 behaviour of the scaled-linear, cosine and sigmoid
 families; the logistic family keeps a(0) < 1 and stays finite.  Boundary
 values are resolved by analytic case analysis on (a, da/dt) rather than by
-sampling, so no 0/0 float arithmetic is involved.
+sampling, so no 0/0 float arithmetic is involved.  alpha_bar, its derivative
+and the rate of a quadratic zero come from ``schedules``.
 """
 
 from __future__ import annotations
@@ -20,56 +21,16 @@ import math
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ValidationError
+from .metrics import line_fit
 from .schedules import (
     ALPHA_BAR_MIN,
-    BETA_SLOPE_SCALE,
-    BETA_START_SCALE,
-    Family,
-    Orientation,
     ScheduleSpec,
     ScheduleTable,
-    _check_t,
-    _cosine_angle,
-    _raw_alpha_bar,
-    _sigmoid,
-    affine_slope,
-    alpha_bar_continuous,
+    alpha_bar_and_derivative,
     format_float,
+    sqrt_alpha_bar_rate_at_zero,
 )
-
-
-def d_alpha_bar_dt(spec: ScheduleSpec, t: float) -> float:
-    """Analytic derivative of the continuous alpha_bar(t) form.
-
-    scaled_linear differentiates the exponential closure exp(f(t)) with
-    f'(t) = -0.1/T - 19.9*(2t+1)/(2*T*(T-1)); the exact product has no
-    continuous derivative.
-    """
-    t = _check_t(spec, t)
-    T = spec.T
-    if spec.family is Family.SCALED_LINEAR:
-        fp = -BETA_START_SCALE / T - BETA_SLOPE_SCALE * (2.0 * t + 1.0) / (2.0 * T * (T - 1.0))
-        raw = _raw_alpha_bar(spec, t) * fp
-    elif spec.family is Family.COSINE:
-        u = _cosine_angle(spec, t)
-        c0 = math.cos(_cosine_angle(spec, 0.0))
-        du = math.pi / (2.0 * T * (1.0 + spec.s))
-        raw = -math.sin(2.0 * u) * du / (c0 * c0)
-    elif spec.family is Family.SIGMOID:
-        lo, hi, tau = spec.sigmoid_start, spec.sigmoid_end, spec.sigmoid_tau
-        v_lo = _sigmoid(lo / tau)
-        v_hi = _sigmoid(hi / tau)
-        z = ((t / T) * (hi - lo) + lo) / tau
-        sz = _sigmoid(z)
-        raw = -(sz * (1.0 - sz)) * (hi - lo) / (T * tau) / (v_hi - v_lo)
-    else:  # logistic
-        sign = 1.0 if spec.orientation is Orientation.VERBATIM_INCREASING else -1.0
-        a = _raw_alpha_bar(spec, t)
-        raw = sign * spec.k * a * (1.0 - a)
-    return affine_slope(spec) * raw
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,37 +48,23 @@ class DerivativeCoefficients:
     finite: bool
 
 
-def _cosine_quadratic_zero_limit(spec: ScheduleSpec) -> float:
-    # At t = T the cosine alpha_bar has a quadratic zero: a ~ C*(T-t)^2 with
-    # sqrt(C) = pi / (2*T*(1+s)*|cos(u0)|), so da/(2*sqrt(a)) -> -sqrt(C).
-    c0 = abs(math.cos(_cosine_angle(spec, 0.0)))
-    root_c = math.pi / (2.0 * spec.T * (1.0 + spec.s) * c0)
-    return -math.sqrt(affine_slope(spec)) * root_c
-
-
 def dx_dt_coefficients(spec: ScheduleSpec, t: float) -> DerivativeCoefficients:
     """Both dx_t/dt coefficients at t, with boundary limits resolved.
 
     Never raises on a singular point: divergence is reported through the
     ``finite`` flag and signed infinities.
     """
-    t = _check_t(spec, t)
-    a = alpha_bar_continuous(spec, t)
-    da = d_alpha_bar_dt(spec, t)
+    a, da = alpha_bar_and_derivative(spec, t)
+    t = float(t)
 
     if a >= 1.0:
         coeff_x0 = 0.5 * da
         coeff_eps = 0.0 if da == 0.0 else math.copysign(math.inf, -da)
     elif a <= ALPHA_BAR_MIN:
         coeff_eps = -0.5 * da
-        if da == 0.0:
-            coeff_x0 = (
-                _cosine_quadratic_zero_limit(spec)
-                if spec.family is Family.COSINE
-                else 0.0
-            )
-        else:
-            coeff_x0 = math.copysign(math.inf, da)
+        coeff_x0 = sqrt_alpha_bar_rate_at_zero(spec)
+        if coeff_x0 is None:
+            coeff_x0 = 0.0 if da == 0.0 else math.copysign(math.inf, da)
     else:
         coeff_x0 = da / (2.0 * math.sqrt(a))
         coeff_eps = -da / (2.0 * math.sqrt(1.0 - a))
@@ -177,14 +124,7 @@ def logsnr_linearity_fit(
     ]
     if len(pts) < 3:
         raise ValidationError(f"need at least 3 grid points in window, got {len(pts)}")
-    x = np.array([p[0] for p in pts])
-    y = np.array([p[1] for p in pts])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r_squared
+    return line_fit([p[0] for p in pts], [p[1] for p in pts])
 
 
 SCAN_CSV_HEADER = ("t", "coeff_x0", "coeff_eps", "d_alpha_bar_dt", "finite")

@@ -239,6 +239,9 @@ def cmd_schedule_dump(args, cfg: ConfigFile, start: float) -> int:
     grid = cfg.grid or GridSection(stop=cfg.schedule.T)
     if args.grid is not None:
         grid = GridSection(stop=args.grid)
+    T = cfg.schedule.T
+    if grid.start < 0 or grid.stop > T:
+        raise ValidationError(f"grid [{grid.start}, {grid.stop}] must lie in [0, T={T}]")
     table = build_table(cfg.schedule, integer_grid(grid.stop, grid.start))
 
     out = _out_dir(args, cfg)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .calculus import logsnr_linearity_fit
 from .errors import ValidationError
-from .metrics import RunReport, edit_drift, mse, psnr
+from .metrics import RunReport, edit_drift, mse, psnr_of_mse
 from .models import AnalyticModel, data_range, sample_x0
 from .sampler import (
     SamplerConfig,
@@ -140,7 +140,7 @@ def _report(scenario, table, start, inv, mses, local, drifts=(None, None)) -> Ru
     return RunReport(
         local_errors=tuple(float(v) for v in np.mean(local, axis=0)),
         roundtrip_mse=mean_mse,
-        roundtrip_psnr=_mean_psnr(mean_mse, scenario_max_val(scenario)),
+        roundtrip_psnr=psnr_of_mse(mean_mse, scenario_max_val(scenario)),
         edit_drift=drifts[0],
         pinned_edit_drift=drifts[1],
         start_clamped=inv.start_clamped,
@@ -154,12 +154,6 @@ def _report(scenario, table, start, inv, mses, local, drifts=(None, None)) -> Ru
     )
 
 
-def _mean_psnr(mean_mse: float, max_val: float) -> float:
-    if mean_mse == 0.0:
-        return math.inf
-    return 10.0 * math.log10(max_val * max_val / mean_mse)
-
-
 def run_roundtrip_scenario(
     scenario: ScenarioConfig,
 ) -> tuple[RunReport, list[RoundtripResult]]:
@@ -171,7 +165,7 @@ def run_roundtrip_scenario(
         RoundtripResult(
             seed=s,
             roundtrip_mse=mses[i],
-            roundtrip_psnr=psnr(inv.states[i, 0], rec.states[i, -1], max_val),
+            roundtrip_psnr=psnr_of_mse(mses[i], max_val),
             local_errors=local[i].tolist(),
             inversion=inv.row(i),
             reverse=rec.row(i),

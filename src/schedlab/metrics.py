@@ -20,14 +20,30 @@ def mse(a: Sequence[float], b: Sequence[float]) -> float:
     return float(np.mean(d * d))
 
 
-def psnr(a: Sequence[float], b: Sequence[float], max_val: float) -> float:
-    """10 * log10(max_val^2 / mse); identical inputs give +inf."""
+def psnr_of_mse(m: float, max_val: float) -> float:
+    """10 * log10(max_val^2 / m); an MSE of 0 gives +inf."""
     if not max_val > 0.0:
         raise ValidationError(f"max_val must be > 0, got {max_val}")
-    m = mse(a, b)
     if m == 0.0:
         return math.inf
     return 10.0 * math.log10(max_val * max_val / m)
+
+
+def psnr(a: Sequence[float], b: Sequence[float], max_val: float) -> float:
+    """10 * log10(max_val^2 / mse(a, b)); identical inputs give +inf."""
+    return psnr_of_mse(mse(a, b), max_val)
+
+
+def line_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, float]:
+    """Least-squares line y = slope*x + intercept: (slope, intercept, r_squared)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_res = float(np.sum(resid**2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return float(slope), float(intercept), r_squared
 
 
 def convergence_order_fit(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
@@ -40,14 +56,10 @@ def convergence_order_fit(points: Sequence[tuple[float, float]]) -> tuple[float,
     for n, err in points:
         if not err > 0.0:
             raise ValidationError(f"errors must be > 0 for a log fit, got {err} at N={n}")
-    x = np.log([1.0 / n for n, _ in points])
-    y = np.log([err for _, err in points])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), r_squared
+    slope, _, r_squared = line_fit(
+        np.log([1.0 / n for n, _ in points]), np.log([err for _, err in points])
+    )
+    return slope, r_squared
 
 
 def edit_drift(

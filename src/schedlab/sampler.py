@@ -39,12 +39,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .calculus import d_alpha_bar_dt
 from .errors import DomainError, ValidationError
 from .models import AnalyticModel, data_variance, exact_eps, guided_eps
 from .schedules import (
     ScheduleTable,
-    alpha_bar_continuous,
+    alpha_bar_and_derivative,
     eval_alpha_bar,
     format_float,
 )
@@ -453,8 +452,8 @@ def ode_velocity(model: AnalyticModel, spec, t: float, x: np.ndarray) -> np.ndar
     dx/dt = 0.5 * dlog(a)/dt * (x - eps_hat(x, a) / sqrt(1 - a)), evaluated on
     the smooth alpha_bar form.
     """
-    a = alpha_bar_continuous(spec, t)
-    dlog = d_alpha_bar_dt(spec, t) / a
+    a, da = alpha_bar_and_derivative(spec, t)
+    dlog = da / a
     eps = exact_eps(model, x, a)
     return 0.5 * dlog * (x - eps / math.sqrt(1.0 - a))
 

@@ -11,10 +11,11 @@ survives at time t, alpha_bar(t) on [0, T]:
 - cosine: alpha_bar(t) = f(t)/f(0) with f(t) = cos^2(((t/T + s)/(1 + s)) * pi/2).
 - sigmoid: shifted-sigmoid interpolation between sig(end/tau) and
   sig(start/tau), normalised so alpha_bar(0) = 1 and alpha_bar(T) = 0.
-- logistic: alpha_bar(t) = sig(-k*(t - t0)) (decreasing orientation), a pure
-  logistic curve in t.  Its logSNR is exactly linear: log(a/(1-a)) = -k*(t-t0).
-  The verbatim increasing form sig(+k*(t - t0)) is kept only for derivative
-  arithmetic checks and is rejected by table construction.
+- logistic: alpha_bar(t) = sig(-k*(t - t0)), a pure logistic curve in t.
+  Its logSNR is exactly linear: log(a/(1-a)) = -k*(t-t0).
+
+No other module knows a family's algebra: ``_formula`` holds each family's
+alpha_bar(t) beside its analytic derivative.
 
 Values are clamped to [ALPHA_BAR_MIN, 1].  The floor plays the same role for
 alpha_bar that the 0.999 beta clamp plays for tables: cosine and sigmoid hit
@@ -47,11 +48,6 @@ class Family(str, enum.Enum):
     COSINE = "cosine"
     SIGMOID = "sigmoid"
     LOGISTIC = "logistic"
-
-
-class Orientation(str, enum.Enum):
-    DECREASING = "decreasing"
-    VERBATIM_INCREASING = "verbatim_increasing"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,7 +88,6 @@ class ScheduleSpec:
     sigmoid_start: float = -3.0
     sigmoid_end: float = 3.0
     sigmoid_tau: float = 1.0
-    orientation: Orientation = Orientation.DECREASING
     normalization: AffineNormalization | None = None
 
     def __post_init__(self) -> None:
@@ -116,19 +111,12 @@ def _validate_spec(spec: ScheduleSpec) -> None:
         raise ValidationError(f"sigmoid tau must be > 0, got {spec.sigmoid_tau}")
     if not spec.sigmoid_end > spec.sigmoid_start:
         raise ValidationError("sigmoid end must exceed start")
-    if (
-        spec.orientation is Orientation.VERBATIM_INCREASING
-        and spec.family is not Family.LOGISTIC
-    ):
-        raise ValidationError("verbatim_increasing orientation is logistic-only")
     if spec.normalization is not None:
-        if spec.orientation is not Orientation.DECREASING:
-            raise ValidationError("affine normalization requires decreasing orientation")
         target = spec.normalization.alpha_bar_at_T_target
         if not 0.0 <= target < 1.0:
             raise ValidationError(f"normalization target must be in [0, 1), got {target}")
-        a0 = _raw_alpha_bar(spec, 0.0)
-        aT = _raw_alpha_bar(spec, float(spec.T))
+        a0 = _formula(spec, 0.0)[0]
+        aT = _formula(spec, float(spec.T))[0]
         if not target < a0:
             raise ValidationError(
                 f"normalization target {target} must be below alpha_bar(0)={a0}"
@@ -144,63 +132,92 @@ def _check_t(spec: ScheduleSpec, t: float) -> float:
     return t
 
 
-def _cosine_angle(spec: ScheduleSpec, t: float) -> float:
-    return (t / spec.T + spec.s) / (1.0 + spec.s) * (math.pi / 2.0)
+def _cosine_constants(spec: ScheduleSpec) -> tuple[float, float]:
+    """cos of the cosine schedule's angle at t = 0, and the angle's rate du/dt."""
+    c0 = math.cos(spec.s / (1.0 + spec.s) * (math.pi / 2.0))
+    return c0, math.pi / (2.0 * spec.T * (1.0 + spec.s))
 
 
-def _raw_alpha_bar(spec: ScheduleSpec, t: float) -> float:
-    """Family formula before normalization and clamping."""
+def _formula(spec: ScheduleSpec, t: float) -> tuple[float, float]:
+    """(alpha_bar(t), d alpha_bar/dt) of the family, before normalization and clamping.
+
+    scaled_linear is the exponential closure exp(f(t)), with derivative
+    exp(f(t)) * f'(t).
+    """
     T = spec.T
     if spec.family is Family.SCALED_LINEAR:
         f = -BETA_START_SCALE * t / T - BETA_SLOPE_SCALE * t * (t + 1.0) / (2.0 * T * (T - 1.0))
-        return math.exp(f)
+        fp = -BETA_START_SCALE / T - BETA_SLOPE_SCALE * (2.0 * t + 1.0) / (2.0 * T * (T - 1.0))
+        a = math.exp(f)
+        return a, a * fp
     if spec.family is Family.COSINE:
-        c = math.cos(_cosine_angle(spec, t))
-        c0 = math.cos(_cosine_angle(spec, 0.0))
-        return (c * c) / (c0 * c0)
+        c0, du = _cosine_constants(spec)
+        u = (t / T + spec.s) / (1.0 + spec.s) * (math.pi / 2.0)
+        c = math.cos(u)
+        return (c * c) / (c0 * c0), -math.sin(2.0 * u) * du / (c0 * c0)
     if spec.family is Family.SIGMOID:
         lo, hi, tau = spec.sigmoid_start, spec.sigmoid_end, spec.sigmoid_tau
         v_lo = _sigmoid(lo / tau)
         v_hi = _sigmoid(hi / tau)
-        z = ((t / T) * (hi - lo) + lo) / tau
-        return (v_hi - _sigmoid(z)) / (v_hi - v_lo)
+        sz = _sigmoid(((t / T) * (hi - lo) + lo) / tau)
+        da = -(sz * (1.0 - sz)) * (hi - lo) / (T * tau) / (v_hi - v_lo)
+        return (v_hi - sz) / (v_hi - v_lo), da
     # logistic
-    if spec.orientation is Orientation.VERBATIM_INCREASING:
-        return _sigmoid(spec.k * (t - spec.t0))
-    return _sigmoid(-spec.k * (t - spec.t0))
-
-
-def _affine_map(spec: ScheduleSpec, a: float) -> float:
-    if spec.normalization is None:
-        return a
-    a0 = _raw_alpha_bar(spec, 0.0)
-    aT = _raw_alpha_bar(spec, float(spec.T))
-    target = spec.normalization.alpha_bar_at_T_target
-    slope = (a0 - target) / (a0 - aT)
-    return target + slope * (a - aT)
+    a = _sigmoid(-spec.k * (t - spec.t0))
+    return a, -spec.k * a * (1.0 - a)
 
 
 def affine_slope(spec: ScheduleSpec) -> float:
     """Slope of the affine normalization map (1.0 when unnormalised)."""
     if spec.normalization is None:
         return 1.0
-    a0 = _raw_alpha_bar(spec, 0.0)
-    aT = _raw_alpha_bar(spec, float(spec.T))
+    a0 = _formula(spec, 0.0)[0]
+    aT = _formula(spec, float(spec.T))[0]
     return (a0 - spec.normalization.alpha_bar_at_T_target) / (a0 - aT)
 
 
-def _clamp(a: float) -> float:
-    return min(max(a, ALPHA_BAR_MIN), 1.0)
+def _finish(spec: ScheduleSpec, raw: list[float]) -> list[float]:
+    """Raw family values through the affine normalization (if any) and the clamp."""
+    if spec.normalization is not None:
+        aT, slope = _formula(spec, float(spec.T))[0], affine_slope(spec)
+        target = spec.normalization.alpha_bar_at_T_target
+        raw = [target + slope * (a - aT) for a in raw]
+    return [min(max(a, ALPHA_BAR_MIN), 1.0) for a in raw]
+
+
+def alpha_bar_and_derivative(spec: ScheduleSpec, t: float) -> tuple[float, float]:
+    """alpha_bar(t) from the smooth closed form, any real t in [0, T], and its derivative.
+
+    For scaled_linear this is the log-Taylor exponential closure.
+    """
+    t = _check_t(spec, t)
+    a, da = _formula(spec, t)
+    return _finish(spec, [a])[0], affine_slope(spec) * da
 
 
 def alpha_bar_continuous(spec: ScheduleSpec, t: float) -> float:
-    """alpha_bar(t) from the smooth closed form, any real t in [0, T].
+    """alpha_bar(t) from the smooth closed form, any real t in [0, T]."""
+    return alpha_bar_and_derivative(spec, t)[0]
 
-    For scaled_linear this is the log-Taylor exponential closure; it is the
-    form whose derivative the calculus routines use.
+
+def d_alpha_bar_dt(spec: ScheduleSpec, t: float) -> float:
+    """Analytic derivative of the continuous alpha_bar(t) form."""
+    return alpha_bar_and_derivative(spec, t)[1]
+
+
+def sqrt_alpha_bar_rate_at_zero(spec: ScheduleSpec) -> float | None:
+    """Limit of d sqrt(alpha_bar)/dt = (da/dt) / (2*sqrt(a)) as alpha_bar -> 0 at t = T.
+
+    Finite only for cosine, whose alpha_bar has a quadratic zero at t = T
+    (Nichol & Dhariwal, arXiv 2102.09672): a ~ C*(T-t)^2 with
+    sqrt(C) = (du/dt) / |cos(u0)|, scaled by sqrt of the affine slope when
+    normalised.  Every other zero is simple, so the rate diverges and this
+    returns None.
     """
-    t = _check_t(spec, t)
-    return _clamp(_affine_map(spec, _raw_alpha_bar(spec, t)))
+    if spec.family is not Family.COSINE:
+        return None
+    c0, du = _cosine_constants(spec)
+    return -math.sqrt(affine_slope(spec)) * du / abs(c0)
 
 
 def scaled_linear_beta(spec: ScheduleSpec, i: int) -> float:
@@ -228,9 +245,25 @@ def scaled_linear_alpha_bar_product(spec: ScheduleSpec, t: int) -> float:
     ti = int(t)
     if ti != t or not 0 <= ti <= spec.T:
         raise DomainError(f"product form needs integer t in [0, T], got {t!r}")
-    out = 1.0
-    for i in range(1, ti + 1):
-        out *= _product_factor(spec, i)
+    return _raw_alpha_bars(spec, [float(ti)])[0]
+
+
+def _raw_alpha_bars(spec: ScheduleSpec, ts: Sequence[float]) -> list[float]:
+    """alpha_bar before normalization and clamping at increasing, checked ts.
+
+    scaled_linear takes the exact product at integer t, as one left-to-right
+    running product shared between the points, and the exponential closure
+    elsewhere; every other family is its closed form.
+    """
+    out, prod, done = [], 1.0, 0
+    for t in ts:
+        if spec.family is Family.SCALED_LINEAR and t.is_integer():
+            for i in range(done + 1, int(t) + 1):
+                prod *= _product_factor(spec, i)
+            done = int(t)
+            out.append(prod)
+        else:
+            out.append(_formula(spec, t)[0])
     return out
 
 
@@ -243,10 +276,7 @@ def eval_alpha_bar(spec: ScheduleSpec, t: float) -> float:
     formula.  Raises DomainError outside [0, T].
     """
     t = _check_t(spec, t)
-    if spec.family is Family.SCALED_LINEAR and float(t).is_integer():
-        a = scaled_linear_alpha_bar_product(spec, int(t))
-        return _clamp(_affine_map(spec, a))
-    return _clamp(_affine_map(spec, _raw_alpha_bar(spec, t)))
+    return _finish(spec, _raw_alpha_bars(spec, [t]))[0]
 
 
 def terminal_snr(spec: ScheduleSpec) -> float:
@@ -287,8 +317,6 @@ class ScheduleTable:
 
 def build_table(spec: ScheduleSpec, grid: Sequence[float]) -> ScheduleTable:
     """Discretise the schedule on a strictly increasing grid within [0, T]."""
-    if spec.orientation is not Orientation.DECREASING:
-        raise ValidationError("tables require decreasing orientation")
     ts = [float(t) for t in grid]
     if not ts:
         raise ValidationError("grid must be non-empty")
@@ -297,21 +325,7 @@ def build_table(spec: ScheduleSpec, grid: Sequence[float]) -> ScheduleTable:
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValidationError("grid must be strictly increasing")
 
-    if spec.family is Family.SCALED_LINEAR:
-        # one left-to-right running product over the increasing integer grid
-        # points: the multiplications of scaled_linear_alpha_bar_product, in
-        # its order, shared between rows
-        alpha, prod, done = [], 1.0, 0
-        for t in ts:
-            if not t.is_integer():
-                alpha.append(eval_alpha_bar(spec, t))
-                continue
-            for i in range(done + 1, int(t) + 1):
-                prod *= _product_factor(spec, i)
-            done = int(t)
-            alpha.append(_clamp(_affine_map(spec, prod)))
-    else:
-        alpha = [eval_alpha_bar(spec, t) for t in ts]
+    alpha = _finish(spec, _raw_alpha_bars(spec, ts))
     beta = [min(1.0 - alpha[0], BETA_MAX)]
     for prev, cur in zip(alpha, alpha[1:]):
         beta.append(min(1.0 - cur / prev, BETA_MAX))

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schedlab import (
+    AffineNormalization,
     DomainError,
     Family,
-    Orientation,
     ScheduleSpec,
     ValidationError,
     alpha_bar_continuous,
@@ -38,14 +38,8 @@ def one_sided_diff(spec, t, h):
 
 
 def test_logistic_verbatim_midpoint_derivative_is_k_over_4():
-    spec = ScheduleSpec(
-        family=Family.LOGISTIC,
-        T=100,
-        k=0.015,
-        t0=30.0,
-        orientation=Orientation.VERBATIM_INCREASING,
-    )
-    assert d_alpha_bar_dt(spec, 30.0) == pytest.approx(0.015 / 4.0, rel=1e-14)
+    spec = ScheduleSpec(family=Family.LOGISTIC, T=100, k=0.015, t0=30.0)
+    assert d_alpha_bar_dt(spec, 30.0) == pytest.approx(-0.015 / 4.0, rel=1e-14)
 
 
 def test_derivative_matches_finite_differences():
@@ -67,6 +61,33 @@ def test_cosine_derivative_vanishes_at_T():
     assert coeffs.coeff_eps == pytest.approx(0.0, abs=1e-17)
 
 
+@pytest.mark.parametrize("T", [100, 1000])
+@pytest.mark.parametrize("target", [None, 0.0])
+def test_cosine_x0_coefficient_finite_at_T(T, target):
+    # alpha_bar ~ C*(T-t)^2 at t = T, so da/(2*sqrt(a)) -> -sqrt(C) with
+    # sqrt(C) = pi / (2*T*(1+s)*cos(s/(1+s)*pi/2)), here at 60 digits
+    import mpmath
+
+    norm = None if target is None else AffineNormalization(target)
+    spec = ScheduleSpec(family=Family.COSINE, T=T, normalization=norm)
+    with mpmath.workdps(60):
+        s = mpmath.mpf(spec.s)
+        want = -mpmath.pi / (2 * T * (1 + s) * mpmath.cos(s / (1 + s) * mpmath.pi / 2))
+        want = float(want)
+    c = dx_dt_coefficients(spec, float(T))
+    assert c.finite
+    assert c.coeff_x0 == pytest.approx(want, rel=1e-12)
+    # the limit continues the unclamped coefficient just below T
+    assert dx_dt_coefficients(spec, T - 1e-3).coeff_x0 == pytest.approx(want, rel=1e-8)
+
+
+def test_sigmoid_x0_coefficient_diverges_at_T():
+    # sigmoid's zero at T is simple, so da/(2*sqrt(a)) has no finite limit
+    c = dx_dt_coefficients(ScheduleSpec(family=Family.SIGMOID, T=100), 100.0)
+    assert not c.finite
+    assert c.coeff_x0 == -math.inf
+
+
 def test_derivative_domain_error():
     spec = ScheduleSpec(family=Family.COSINE, T=100)
     with pytest.raises(DomainError):
@@ -86,10 +107,8 @@ def test_singular_families_diverge_at_zero():
 
 
 def test_logistic_finite_at_zero_and_matches_oracle():
-    for orientation in Orientation:
-        spec = ScheduleSpec(
-            family=Family.LOGISTIC, T=100, k=0.015, t0=30.0, orientation=orientation
-        )
+    for k, t0 in ((0.015, 30.0), (0.05, 70.0)):
+        spec = ScheduleSpec(family=Family.LOGISTIC, T=100, k=k, t0=t0)
         c = dx_dt_coefficients(spec, 0.0)
         assert c.finite
         h = 1e-6 * spec.T

@@ -70,6 +70,28 @@ def test_schedule_dump_cosine_first_row_alpha_one(tmp_path):
     assert len(cols["t"]) == 11
 
 
+@pytest.mark.parametrize(
+    "grid, flags", [({"start": -1, "stop": 10}, []), ({"stop": 10}, ["--grid", "2000000"])]
+)
+def test_schedule_dump_rejects_grid_outside_T_before_building_it(
+    tmp_path, capsys, monkeypatch, grid, flags
+):
+    import schedlab.cli
+
+    def no_grid(*args):
+        raise AssertionError("integer_grid called for an out-of-range grid")
+
+    monkeypatch.setattr(schedlab.cli, "integer_grid", no_grid)
+    cfg = write_config(
+        tmp_path,
+        "big",
+        {"version": 1, "name": "big", "schedule": {"family": "cosine", "T": 1000}, "grid": grid},
+    )
+    assert main(["schedule-dump", "--config", cfg, "--out", str(tmp_path), *flags]) == 2
+    assert "T=1000" in capsys.readouterr().err
+    assert not (tmp_path / "big_schedule.csv").exists()
+
+
 def test_dumped_logsnr_reproduces_fit_inputs_bit_exactly(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -425,6 +447,7 @@ INLINE_POINT_MASS = {
             dict(INLINE_POINT_MASS, components=[{"mean": [1.0, -1.0], "variance": 0.0}]),
         ),
         ("edit-sim", ("guidance_grid",), {"w_invert": [1.0], "w_reverse": [3.0]}),
+        ("singularity-scan", ("schedule", "orientation"), "verbatim_increasing"),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, key, value):

@@ -9,7 +9,6 @@ from schedlab import (
     AffineNormalization,
     DomainError,
     Family,
-    Orientation,
     SamplerConfig,
     ScheduleSpec,
     ValidationError,
@@ -55,21 +54,15 @@ def test_scaled_linear_product_at_t1():
 
 
 def test_logistic_verbatim_increasing_alpha0():
-    # direct substitution: 1 / (1 + e^{k*t0}) with k=0.015, t0=30,
+    # direct substitution: 1 / (1 + e^{-k*t0}) with k=0.015, t0=30,
     # cross-checked against a 50-digit evaluation
     import mpmath
 
-    spec = ScheduleSpec(
-        family=Family.LOGISTIC,
-        T=100,
-        k=0.015,
-        t0=30.0,
-        orientation=Orientation.VERBATIM_INCREASING,
-    )
+    spec = ScheduleSpec(family=Family.LOGISTIC, T=100, k=0.015, t0=30.0)
     got = eval_alpha_bar(spec, 0.0)
-    assert got == pytest.approx(1.0 / (1.0 + math.exp(0.45)), rel=1e-15)
+    assert got == pytest.approx(1.0 / (1.0 + math.exp(-0.45)), rel=1e-15)
     with mpmath.workdps(50):
-        hp = 1 / (1 + mpmath.e ** (mpmath.mpf("0.015") * 30))
+        hp = 1 / (1 + mpmath.e ** (-mpmath.mpf("0.015") * 30))
         assert got == pytest.approx(float(hp), rel=1e-14)
 
 
@@ -79,13 +72,6 @@ def test_scaled_linear_beta_endpoints():
         assert scaled_linear_beta(spec, 0) == pytest.approx(0.1 / T, rel=0, abs=1e-12)
         assert scaled_linear_beta(spec, T - 1) == pytest.approx(
             20.0 / T, rel=0, abs=1e-12
-        )
-
-
-def test_verbatim_orientation_is_logistic_only():
-    with pytest.raises(ValidationError):
-        ScheduleSpec(
-            family=Family.COSINE, T=100, orientation=Orientation.VERBATIM_INCREASING
         )
 
 
@@ -149,11 +135,6 @@ def test_table_rejects_bad_grids():
         build_table(spec, [3.0, 2.0])
     with pytest.raises(ValidationError):
         build_table(spec, [0.0, 101.0])
-    verbatim = ScheduleSpec(
-        family=Family.LOGISTIC, T=100, orientation=Orientation.VERBATIM_INCREASING
-    )
-    with pytest.raises(ValidationError):
-        build_table(verbatim, [0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
