@@ -32,7 +32,6 @@ from .models import (
     exact_eps,
     guided_eps,
     model_from_dict,
-    model_to_dict,
     sample_x0,
 )
 from .sampler import (

@@ -9,17 +9,17 @@ The eps coefficient blows up wherever a -> 1 with nonzero slope, which is
 exactly the t = 0 behaviour of the scaled-linear, cosine and sigmoid
 families; the logistic family keeps a(0) < 1 and stays finite.  Boundary
 values are resolved by analytic case analysis on (a, da/dt) rather than by
-sampling, so no 0/0 float arithmetic is involved.  alpha_bar, its derivative
-and the rate of a quadratic zero come from ``schedules``.
+sampling, so no 0/0 float arithmetic is involved.  The case analysis reads
+alpha_bar before its ALPHA_BAR_MIN clamp: a value that is merely below the
+floor (logistic far past t0) still takes the ordinary formula, and only a
+genuine zero takes a limit.  alpha_bar, its derivative and the rate of a
+quadratic zero come from ``schedules``.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
-from pathlib import Path
-from typing import Sequence
 
 from .errors import ValidationError
 from .metrics import line_fit
@@ -28,7 +28,6 @@ from .schedules import (
     ScheduleSpec,
     ScheduleTable,
     alpha_bar_and_derivative,
-    format_float,
     sqrt_alpha_bar_rate_at_zero,
 )
 
@@ -54,15 +53,18 @@ def dx_dt_coefficients(spec: ScheduleSpec, t: float) -> DerivativeCoefficients:
     Never raises on a singular point: divergence is reported through the
     ``finite`` flag and signed infinities.
     """
-    a, da = alpha_bar_and_derivative(spec, t)
+    a, da = alpha_bar_and_derivative(spec, t, clamp=False)
     t = float(t)
+    rate = sqrt_alpha_bar_rate_at_zero(spec) if a <= ALPHA_BAR_MIN else None
 
     if a >= 1.0:
         coeff_x0 = 0.5 * da
         coeff_eps = 0.0 if da == 0.0 else math.copysign(math.inf, -da)
-    elif a <= ALPHA_BAR_MIN:
+    elif a <= 0.0 or rate is not None:
+        # a zero of alpha_bar; below the floor, cosine sits on its quadratic
+        # zero at T, where cos(pi/2) rounds to a residue instead of 0
         coeff_eps = -0.5 * da
-        coeff_x0 = sqrt_alpha_bar_rate_at_zero(spec)
+        coeff_x0 = rate
         if coeff_x0 is None:
             coeff_x0 = 0.0 if da == 0.0 else math.copysign(math.inf, da)
     else:
@@ -78,6 +80,8 @@ def dx_dt_coefficients(spec: ScheduleSpec, t: float) -> DerivativeCoefficients:
 def _geometric_points(lo: float, hi: float, n: int) -> list[float]:
     if n == 1:
         return [hi]
+    if not (lo > 0.0 and math.isfinite(hi / lo)):
+        raise ValidationError(f"[{lo}, {hi}] is beyond float range for geometric spacing")
     ratio = hi / lo
     pts = [lo * ratio ** (i / (n - 1)) for i in range(n)]
     pts[0], pts[-1] = lo, hi
@@ -126,47 +130,3 @@ def logsnr_linearity_fit(
         raise ValidationError(f"need at least 3 grid points in window, got {len(pts)}")
     return line_fit([p[0] for p in pts], [p[1] for p in pts])
 
-
-SCAN_CSV_HEADER = ("t", "coeff_x0", "coeff_eps", "d_alpha_bar_dt", "finite")
-
-
-def scan_csv_text(rows: Sequence[DerivativeCoefficients]) -> str:
-    lines = [",".join(SCAN_CSV_HEADER)]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    format_float(r.t),
-                    format_float(r.coeff_x0),
-                    format_float(r.coeff_eps),
-                    format_float(r.d_alpha_bar_dt),
-                    "true" if r.finite else "false",
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def write_scan_csv(rows: Sequence[DerivativeCoefficients], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(scan_csv_text(rows))
-
-
-def read_scan_csv(path: str | Path) -> list[DerivativeCoefficients]:
-    out = []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if tuple(header) != SCAN_CSV_HEADER:
-            raise ValidationError(f"unexpected scan CSV header: {header}")
-        for row in r:
-            out.append(
-                DerivativeCoefficients(
-                    t=float(row[0]),
-                    coeff_x0=float(row[1]),
-                    coeff_eps=float(row[2]),
-                    d_alpha_bar_dt=float(row[3]),
-                    finite=row[4] == "true",
-                )
-            )
-    return out

@@ -11,10 +11,17 @@ typos fail fast, and values must have their field's JSON type exactly
 (integers for int fields, finite numbers for floats, ``true``/``false`` for
 flags).  A ``sweep`` section sets one axis of ``SWEEP_AXES`` per run; a
 ``guidance`` value is a ``[w_invert, w_reverse]`` pair, so a guidance matrix
-is a sweep over its pairs.  Each command writes plot-ready CSV data plus a
-report JSON, with volatile values (timestamps, wall times) isolated in a
-separate ``*_meta.json`` so data artifacts are byte-identical across reruns.
-All writes are write-temp-then-rename.
+is a sweep over its pairs.
+
+Each command writes plot-ready CSV data plus a report JSON, with volatile
+values (timestamps, wall times) isolated in a separate ``*_meta.json`` so
+data artifacts are byte-identical across reruns.  This module is the only
+one that knows the artifact formats: one cell formatter (floats as %.17g,
+bools as true/false, None as an empty field), one CSV renderer and one
+strict JSON renderer.  Output is all-or-nothing: a command renders every
+file in memory first, and a report value that is NaN or infinite is a
+numeric domain error, so a failed command writes no file at all.  Files
+are then written temp-then-rename, ``*_meta.json`` last.
 
 Exit codes: 0 success, 2 config validation error, 3 numeric domain error,
 4 I/O error.
@@ -26,27 +33,23 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 import sys
 import time
+from collections.abc import Iterable
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, schema
-from .calculus import scan_csv_text, singularity_scan
+from .calculus import singularity_scan
 from .errors import DomainError, ValidationError
 from .harness import ScenarioConfig, run_edit_scenario, run_roundtrip_scenario
 from .models import AnalyticModel
 from .presets import K_VALUES, T0_FRACTIONS, input_scale_values, resolve_model_preset
 from .sampler import SamplerConfig
-from .schedules import (
-    ScheduleSpec,
-    build_table,
-    format_float,
-    integer_grid,
-    schedule_csv_text,
-)
+from .schedules import ScheduleSpec, build_table, integer_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -136,6 +139,9 @@ class ConfigFile:
     def __post_init__(self) -> None:
         if self.version != CONFIG_VERSION:
             raise ValidationError(f"config version must be {CONFIG_VERSION}, got {self.version}")
+        if not self.name or "/" in self.name or "\0" in self.name:
+            # every artifact is named <name>_<suffix> inside the output directory
+            raise ValidationError(f"config.name must be a file-name stem, got {self.name!r}")
 
     def need(self, user: str, *keys: str) -> None:
         for key in keys:
@@ -191,48 +197,86 @@ def _scenario(cfg: ConfigFile, seed_override: int | None) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# output plumbing
+# artifact formats: every file a command writes is rendered here
 
-def _atomic_write(path: Path, data: str | bytes) -> None:
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    mode = "wb" if isinstance(data, bytes) else "w"
-    with open(tmp, mode, newline="" if mode == "w" else None) as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+_FLOAT = "{:.17g}".format  # 17 significant digits round-trip float64 exactly
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows: list[list[str]]) -> None:
+def _cell(value) -> str:
+    """One CSV field: a float as %.17g, a bool as true/false, None as an
+    empty field, an int or str as its str."""
+    if isinstance(value, float):
+        return _FLOAT(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
+
+
+def _csv(header: tuple[str, ...], rows: Iterable[tuple]) -> str:
+    """CSV text: the header, then one line per row of ``_cell`` fields.
+
+    csv.writer quotes a field that holds a comma, quote or line break.  Only
+    text can, so a table without str cells is joined directly: the same
+    bytes without csv.writer's per-character scan, which makes a 4096-point
+    singularity-scan command about 20% slower.  An all-float column is
+    formatted in one pass.
+    """
+    columns, text = [], False
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        text = text or str in kinds
+        columns.append(map(_FLOAT if kinds == {float} else _cell, column))
+    table = itertools.chain([header], zip(*columns))  # rows are formatted as they are joined
+    if not text:
+        return "".join([",".join(line) + "\n" for line in table])
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+    csv.writer(buf, lineterminator="\n").writerows(table)
+    return buf.getvalue()
 
 
-def _write_json(path: Path, obj) -> None:
-    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _json(obj, artifact: str) -> str:
+    """Strict JSON text; a NaN or infinite value is a DomainError naming ``artifact``."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DomainError(f"{artifact} would hold a non-finite value ({exc})") from exc
 
 
-def _write_meta(out: Path, name: str, command: str, wall: float) -> None:
-    _write_json(
-        out / f"{name}_meta.json",
-        {
-            "command": command,
-            "created_at": datetime.now(timezone.utc).isoformat(),
-            "wall_time_seconds": wall,
-            "package_version": __version__,
-        },
-    )
+def _atomic_write(path: Path, text: str) -> None:
+    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def _out_dir(args, cfg: ConfigFile) -> Path:
+def _emit(args, cfg: ConfigFile, start: float, files: dict[str, str], summary: str) -> int:
+    """The shared tail of every command: write its rendered ``{suffix: text}``
+    files, then ``*_meta.json``, and print ``<command> <name>: <summary>``.
+
+    Commands render every file before they call this, so a command that
+    fails leaves no file behind.
+    """
     out = Path(args.out or cfg.output_dir or "schedlab_out")
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for suffix, text in files.items():
+        _atomic_write(out / f"{cfg.name}_{suffix}", text)
+    meta = {
+        "command": args.command,
+        "created_at": datetime.now(timezone.utc).isoformat(),
+        "wall_time_seconds": time.perf_counter() - start,
+        "package_version": __version__,
+    }
+    _atomic_write(out / f"{cfg.name}_meta.json", _json(meta, f"{cfg.name}_meta.json"))
+    print(f"{args.command} {cfg.name}: {summary}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each renders all of its files, then hands them to _emit
 
 def cmd_schedule_dump(args, cfg: ConfigFile, start: float) -> int:
     cfg.need("schedule-dump", "schedule")
@@ -243,13 +287,9 @@ def cmd_schedule_dump(args, cfg: ConfigFile, start: float) -> int:
     if grid.start < 0 or grid.stop > T:
         raise ValidationError(f"grid [{grid.start}, {grid.stop}] must lie in [0, T={T}]")
     table = build_table(cfg.schedule, integer_grid(grid.stop, grid.start))
-
-    out = _out_dir(args, cfg)
-    path = out / f"{cfg.name}_schedule.csv"
-    _atomic_write(path, schedule_csv_text(table))
-    _write_meta(out, cfg.name, "schedule-dump", time.perf_counter() - start)
-    print(f"wrote {path} ({len(table.timesteps)} rows)")
-    return EXIT_OK
+    rows = zip(table.timesteps, table.alpha_bar, table.beta, table.snr(), table.logsnr)
+    text = _csv(("t", "alpha_bar", "beta", "snr", "logsnr"), rows)
+    return _emit(args, cfg, start, {"schedule.csv": text}, f"{len(table.timesteps)} rows")
 
 
 def cmd_singularity_scan(args, cfg: ConfigFile, start: float) -> int:
@@ -257,42 +297,29 @@ def cmd_singularity_scan(args, cfg: ConfigFile, start: float) -> int:
     scan = cfg.scan
     n = args.grid if args.grid is not None else scan.n
     rows = singularity_scan(cfg.schedule, scan.t_min, scan.t_max, n)
-
-    out = _out_dir(args, cfg)
-    path = out / f"{cfg.name}_scan.csv"
-    _atomic_write(path, scan_csv_text(rows))
-    _write_meta(out, cfg.name, "singularity-scan", time.perf_counter() - start)
-    print(f"wrote {path} ({len(rows)} rows)")
-    return EXIT_OK
+    text = _csv(
+        ("t", "coeff_x0", "coeff_eps", "d_alpha_bar_dt", "finite"),
+        [(r.t, r.coeff_x0, r.coeff_eps, r.d_alpha_bar_dt, r.finite) for r in rows],
+    )
+    return _emit(args, cfg, start, {"scan.csv": text}, f"{len(rows)} rows")
 
 
 def cmd_roundtrip(args, cfg: ConfigFile, start: float) -> int:
     report, results = run_roundtrip_scenario(_scenario(cfg, args.seed))
-
-    out = _out_dir(args, cfg)
-    name = cfg.name
-    _write_csv(
-        out / f"{name}_roundtrip.csv",
-        ("seed", "roundtrip_mse", "roundtrip_psnr"),
-        [
-            [str(r.seed), format_float(r.roundtrip_mse), format_float(r.roundtrip_psnr)]
-            for r in results
-        ],
-    )
     grid = results[0].inversion.timesteps[1:]
-    _write_csv(
-        out / f"{name}_local_errors.csv",
-        ("seed", "step", "t", "error"),
-        [
-            [str(r.seed), str(i), format_float(grid[i]), format_float(e)]
-            for r in results
-            for i, e in enumerate(r.local_errors)
-        ],
-    )
-    _write_json(out / f"{name}_report.json", report.to_stable_dict())
-    _write_meta(out, name, "roundtrip", time.perf_counter() - start)
-    print(f"roundtrip {name}: mean mse {report.roundtrip_mse:.6g} over {len(results)} seeds")
-    return EXIT_OK
+    files = {
+        "roundtrip.csv": _csv(
+            ("seed", "roundtrip_mse", "roundtrip_psnr"),
+            [(r.seed, r.roundtrip_mse, r.roundtrip_psnr) for r in results],
+        ),
+        "local_errors.csv": _csv(
+            ("seed", "step", "t", "error"),
+            [(r.seed, i, grid[i], e) for r in results for i, e in enumerate(r.local_errors)],
+        ),
+        "report.json": _json(report.to_stable_dict(), f"{cfg.name}_report.json"),
+    }
+    summary = f"mean mse {report.roundtrip_mse:.6g} over {len(results)} seeds"
+    return _emit(args, cfg, start, files, summary)
 
 
 def cmd_edit_sim(args, cfg: ConfigFile, start: float) -> int:
@@ -300,29 +327,15 @@ def cmd_edit_sim(args, cfg: ConfigFile, start: float) -> int:
     if scenario.target is None:
         raise ValidationError("edit-sim needs models.target")
     report, results = run_edit_scenario(scenario)
-
-    out = _out_dir(args, cfg)
-    name = cfg.name
-    _write_csv(
-        out / f"{name}_edit.csv",
-        ("seed", "edit_drift", "pinned_edit_drift", "roundtrip_mse"),
-        [
-            [
-                str(r.seed),
-                format_float(r.edit_drift),
-                format_float(r.pinned_edit_drift),
-                format_float(r.roundtrip_mse),
-            ]
-            for r in results
-        ],
-    )
-    _write_json(out / f"{name}_report.json", report.to_stable_dict())
-    _write_meta(out, name, "edit-sim", time.perf_counter() - start)
-    print(
-        f"edit-sim {name}: mean drift {report.edit_drift:.6g}, "
-        f"pinned {report.pinned_edit_drift:.6g}"
-    )
-    return EXIT_OK
+    files = {
+        "edit.csv": _csv(
+            ("seed", "edit_drift", "pinned_edit_drift", "roundtrip_mse"),
+            [(r.seed, r.edit_drift, r.pinned_edit_drift, r.roundtrip_mse) for r in results],
+        ),
+        "report.json": _json(report.to_stable_dict(), f"{cfg.name}_report.json"),
+    }
+    summary = f"mean drift {report.edit_drift:.6g}, pinned {report.pinned_edit_drift:.6g}"
+    return _emit(args, cfg, start, files, summary)
 
 
 def _sweep_scenario(base: ScenarioConfig, axis: str, value, where: str) -> ScenarioConfig:
@@ -348,30 +361,25 @@ def cmd_sweep(args, cfg: ConfigFile, start: float) -> int:
     runner = run_edit_scenario if cfg.sweep.command == "edit-sim" else run_roundtrip_scenario
     reports = [runner(sc)[0] for sc in scenarios]
 
-    out = _out_dir(args, cfg)
-    name = cfg.name
     rows = [
-        [
+        (
             axis,
             json.dumps(value),
-            format_float(rep.roundtrip_mse),
-            format_float(rep.roundtrip_psnr),
-            "" if rep.edit_drift is None else format_float(rep.edit_drift),
-            "" if rep.pinned_edit_drift is None else format_float(rep.pinned_edit_drift),
-        ]
+            rep.roundtrip_mse,
+            rep.roundtrip_psnr,
+            rep.edit_drift,
+            rep.pinned_edit_drift,
+        )
         for value, rep in zip(values, reports)
     ]
-    _write_csv(
-        out / f"{name}_sweep.csv",
-        ("axis", "value", "roundtrip_mse", "roundtrip_psnr", "edit_drift", "pinned_edit_drift"),
-        rows,
-    )
-    _write_json(
-        out / f"{name}_sweep_reports.json", [r.to_stable_dict() for r in reports]
-    )
-    _write_meta(out, name, "sweep", time.perf_counter() - start)
-    print(f"sweep {name}: {len(reports)} reports over {axis}")
-    return EXIT_OK
+    header = ("axis", "value", "roundtrip_mse", "roundtrip_psnr", "edit_drift", "pinned_edit_drift")
+    files = {
+        "sweep.csv": _csv(header, rows),
+        "sweep_reports.json": _json(
+            [r.to_stable_dict() for r in reports], f"{cfg.name}_sweep_reports.json"
+        ),
+    }
+    return _emit(args, cfg, start, files, f"{len(reports)} reports over {axis}")
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,10 @@ def _roundtrip(scenario: ScenarioConfig, table: ScheduleTable):
 def _report(scenario, table, start, inv, mses, local, drifts=(None, None)) -> RunReport:
     wall = time.perf_counter() - start
     mean_mse = float(np.mean(mses))
-    r2 = logsnr_linearity_fit(table)[2]
+    try:
+        r2 = logsnr_linearity_fit(table)[2]
+    except ValidationError:  # fewer than 3 finite grid points in the fit window
+        r2 = None
     return RunReport(
         local_errors=tuple(float(v) for v in np.mean(local, axis=0)),
         roundtrip_mse=mean_mse,

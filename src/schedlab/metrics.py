@@ -26,7 +26,10 @@ def psnr_of_mse(m: float, max_val: float) -> float:
         raise ValidationError(f"max_val must be > 0, got {max_val}")
     if m == 0.0:
         return math.inf
-    return 10.0 * math.log10(max_val * max_val / m)
+    ratio = max_val * max_val / m
+    if 0.0 < ratio < math.inf:
+        return 10.0 * math.log10(ratio)
+    return 20.0 * math.log10(max_val) - 10.0 * math.log10(m)  # ratio beyond float range
 
 
 def psnr(a: Sequence[float], b: Sequence[float], max_val: float) -> float:
@@ -91,9 +94,10 @@ class RunReport:
     ``local_errors`` has one entry per sampler grid point (state distance
     between the inversion and reverse trajectories at matched timesteps).
     ``psnr_max_val`` documents the max value used in the PSNR formula for
-    this scenario.  Wall time is serialised into the side metadata file, not
-    into the report artifact, so report files stay byte-identical across
-    reruns.
+    this scenario.  ``linearity_r2`` is the logSNR line fit's r^2 on the
+    sampler grid, None when fewer than 3 grid points fall in its window.
+    Wall time is serialised into the side metadata file, not into the report
+    artifact, so report files stay byte-identical across reruns.
     """
 
     scenario_id: str
@@ -104,7 +108,7 @@ class RunReport:
     roundtrip_psnr: float
     edit_drift: float | None
     terminal_logsnr: float
-    linearity_r2: float
+    linearity_r2: float | None
     wall_time_seconds: float
     psnr_max_val: float
     start_clamped: bool

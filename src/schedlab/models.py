@@ -182,17 +182,5 @@ def data_range(model: AnalyticModel) -> float:
 # ---------------------------------------------------------------------------
 # JSON description
 
-def model_to_dict(model: AnalyticModel) -> dict:
-    return {
-        "kind": model.kind.value,
-        "dim": model.dim,
-        "components": [
-            {"weight": c.weight, "mean": list(c.mean), "variance": c.variance}
-            for c in model.components
-        ],
-        "condition_label": model.condition_label,
-    }
-
-
 def model_from_dict(data: dict) -> AnalyticModel:
     return build(AnalyticModel, data, "model")

@@ -24,10 +24,6 @@ def input_scale_values() -> list[float]:
     return [round(0.5 + 0.05 * i, 2) for i in range(19)]
 
 
-def default_spec(family: Family | str, T: int = 1000, **overrides) -> ScheduleSpec:
-    return ScheduleSpec(family=Family(family), T=T, **overrides)
-
-
 def logistic_spec(T: int = 1000, t0_fraction: float = 0.6, k: float = 0.015) -> ScheduleSpec:
     return ScheduleSpec(family=Family.LOGISTIC, T=T, k=k, t0=float(int(t0_fraction * T)))
 

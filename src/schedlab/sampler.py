@@ -30,27 +30,17 @@ same alone, in any batch and at any batch position.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
-import struct
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
 from .models import AnalyticModel, data_variance, exact_eps, guided_eps
-from .schedules import (
-    ScheduleTable,
-    alpha_bar_and_derivative,
-    eval_alpha_bar,
-    format_float,
-)
+from .schedules import ScheduleTable, alpha_bar_and_derivative, eval_alpha_bar
 
 ModelPair = tuple[AnalyticModel, AnalyticModel | None]
-
-TRAJECTORY_MAGIC = b"SCHDTRAJ"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -146,8 +136,14 @@ def forward_closed_form(
         raise ValidationError(f"shape mismatch: {x0.shape} vs {eps.shape}")
     x = math.sqrt(alpha_bar) * b * x0 + math.sqrt(1.0 - alpha_bar) * eps
     if normalize:
-        x = x / math.sqrt(alpha_bar * b * b * sigma0_sq + 1.0 - alpha_bar)
+        x = x / _state_std(alpha_bar, b, sigma0_sq)
     return x
+
+
+def _state_std(alpha_bar: float, b: float, sigma0_sq: float) -> float:
+    """sqrt(a*b^2*sigma0_sq + 1-a): the std of x_t for data of variance
+    sigma0_sq scaled by b, which variance normalization divides out."""
+    return math.sqrt(alpha_bar * b * b * sigma0_sq + 1.0 - alpha_bar)
 
 
 def ddpm_sigma(alpha_bar_t: float, alpha_bar_prev: float) -> float:
@@ -242,8 +238,7 @@ def _predict(
 ) -> np.ndarray:
     uncond, cond = models
     if config.variance_normalize:
-        b = config.input_scale_b
-        x = x / math.sqrt(alpha_bar * b * b * sigma0_sq + 1.0 - alpha_bar)
+        x = x / _state_std(alpha_bar, config.input_scale_b, sigma0_sq)
     if cond is None:
         return exact_eps(uncond, x, alpha_bar)
     return guided_eps(uncond, cond, x, alpha_bar, w)
@@ -513,53 +508,3 @@ def ode_reference_solve(
         x_end=x_end, t_start=t_from, t_end=t_to, n_fine=n_fine, start_clamped=clamped
     )
 
-
-# ---------------------------------------------------------------------------
-# trajectory dumps
-
-TRAJECTORY_CSV_HEADER = ("step", "t", "alpha_bar", "x_norm", "eps_norm")
-
-
-def _single(traj: Trajectory) -> None:
-    if traj.states.ndim != 2:
-        raise ValidationError("trajectory dumps take one seed; use Trajectory.row(i)")
-
-
-def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
-    _single(traj)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRAJECTORY_CSV_HEADER)
-        for i, (t, a) in enumerate(zip(traj.timesteps, traj.alpha_bars)):
-            w.writerow(
-                [
-                    str(i),
-                    format_float(t),
-                    format_float(a),
-                    format_float(float(np.linalg.norm(traj.states[i]))),
-                    format_float(float(np.linalg.norm(traj.eps_hats[i]))),
-                ]
-            )
-
-
-def write_trajectory_bin(traj: Trajectory, path: str | Path) -> None:
-    """Full-state dump: 8-byte magic, dim and length as u64 LE, then
-    row-major little-endian float64 states."""
-    _single(traj)
-    states = np.ascontiguousarray(traj.states, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(TRAJECTORY_MAGIC)
-        fh.write(struct.pack("<QQ", states.shape[1], states.shape[0]))
-        fh.write(states.tobytes(order="C"))
-
-
-def read_trajectory_bin(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != TRAJECTORY_MAGIC:
-            raise ValidationError(f"bad trajectory magic: {magic!r}")
-        dim, length = struct.unpack("<QQ", fh.read(16))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != dim * length:
-        raise ValidationError("trajectory dump truncated")
-    return data.reshape(length, dim).copy()

@@ -24,11 +24,9 @@ exactly zero at t = T, which would put SNR and logSNR out of range.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import enum
 import math
-from pathlib import Path
 from typing import Sequence
 
 from .errors import DomainError, ValidationError
@@ -111,6 +109,10 @@ def _validate_spec(spec: ScheduleSpec) -> None:
         raise ValidationError(f"sigmoid tau must be > 0, got {spec.sigmoid_tau}")
     if not spec.sigmoid_end > spec.sigmoid_start:
         raise ValidationError("sigmoid end must exceed start")
+    if spec.family is Family.SIGMOID:
+        lo, hi, tau = spec.sigmoid_start, spec.sigmoid_end, spec.sigmoid_tau
+        if not _sigmoid(hi / tau) > _sigmoid(lo / tau):
+            raise ValidationError("sigmoid start and end must differ after scaling by 1/tau")
     if spec.normalization is not None:
         target = spec.normalization.alpha_bar_at_T_target
         if not 0.0 <= target < 1.0:
@@ -176,23 +178,27 @@ def affine_slope(spec: ScheduleSpec) -> float:
     return (a0 - spec.normalization.alpha_bar_at_T_target) / (a0 - aT)
 
 
-def _finish(spec: ScheduleSpec, raw: list[float]) -> list[float]:
+def _finish(spec: ScheduleSpec, raw: list[float], clamp: bool = True) -> list[float]:
     """Raw family values through the affine normalization (if any) and the clamp."""
     if spec.normalization is not None:
         aT, slope = _formula(spec, float(spec.T))[0], affine_slope(spec)
         target = spec.normalization.alpha_bar_at_T_target
         raw = [target + slope * (a - aT) for a in raw]
-    return [min(max(a, ALPHA_BAR_MIN), 1.0) for a in raw]
+    return [min(max(a, ALPHA_BAR_MIN), 1.0) for a in raw] if clamp else raw
 
 
-def alpha_bar_and_derivative(spec: ScheduleSpec, t: float) -> tuple[float, float]:
+def alpha_bar_and_derivative(
+    spec: ScheduleSpec, t: float, clamp: bool = True
+) -> tuple[float, float]:
     """alpha_bar(t) from the smooth closed form, any real t in [0, T], and its derivative.
 
-    For scaled_linear this is the log-Taylor exponential closure.
+    For scaled_linear this is the log-Taylor exponential closure.  With
+    ``clamp=False`` alpha_bar is the normalised family value before the
+    [ALPHA_BAR_MIN, 1] clamp, so it may lie below the floor or be exactly 0.
     """
     t = _check_t(spec, t)
     a, da = _formula(spec, t)
-    return _finish(spec, [a])[0], affine_slope(spec) * da
+    return _finish(spec, [a], clamp)[0], affine_slope(spec) * da
 
 
 def alpha_bar_continuous(spec: ScheduleSpec, t: float) -> float:
@@ -337,44 +343,6 @@ def build_table(spec: ScheduleSpec, grid: Sequence[float]) -> ScheduleTable:
         beta=tuple(beta),
         logsnr=tuple(logsnr),
     )
-
-
-# ---------------------------------------------------------------------------
-# CSV interface
-
-SCHEDULE_CSV_HEADER = ("t", "alpha_bar", "beta", "snr", "logsnr")
-
-
-def format_float(x: float) -> str:
-    """17-significant-digit decimal rendering; round-trips float64 exactly."""
-    return f"{x:.17g}"
-
-
-def schedule_csv_text(table: ScheduleTable) -> str:
-    lines = [",".join(SCHEDULE_CSV_HEADER)]
-    for t, a, b, snr, ls in zip(
-        table.timesteps, table.alpha_bar, table.beta, table.snr(), table.logsnr
-    ):
-        lines.append(",".join(format_float(v) for v in (t, a, b, snr, ls)))
-    return "\n".join(lines) + "\n"
-
-
-def write_schedule_csv(table: ScheduleTable, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(schedule_csv_text(table))
-
-
-def read_schedule_csv(path: str | Path) -> dict[str, list[float]]:
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if tuple(header) != SCHEDULE_CSV_HEADER:
-            raise ValidationError(f"unexpected schedule CSV header: {header}")
-        cols: dict[str, list[float]] = {name: [] for name in header}
-        for row in r:
-            for name, val in zip(header, row):
-                cols[name].append(float(val))
-    return cols
 
 
 def integer_grid(stop: int, start: int = 0) -> list[float]:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schedlab import (
+    ALPHA_BAR_MIN,
     AffineNormalization,
     DomainError,
     Family,
@@ -17,7 +18,6 @@ from schedlab import (
     logsnr_linearity_fit,
     singularity_scan,
 )
-from schedlab.calculus import read_scan_csv, write_scan_csv
 from schedlab.schedules import ScheduleTable, integer_grid
 
 SINGULAR = (Family.SCALED_LINEAR, Family.COSINE, Family.SIGMOID)
@@ -84,6 +84,33 @@ def test_cosine_x0_coefficient_finite_at_T(T, target):
 def test_sigmoid_x0_coefficient_diverges_at_T():
     # sigmoid's zero at T is simple, so da/(2*sqrt(a)) has no finite limit
     c = dx_dt_coefficients(ScheduleSpec(family=Family.SIGMOID, T=100), 100.0)
+    assert not c.finite
+    assert c.coeff_x0 == -math.inf
+
+
+@pytest.mark.parametrize("t", [980.0, 990.0, 999.0, 1000.0])
+def test_logistic_below_the_floor_takes_the_ordinary_formula(t):
+    # alpha_bar = sig(-k*(t - t0)) is under ALPHA_BAR_MIN here but not zero, so
+    # da/(2*sqrt(a)) = -k*sqrt(a)*(1-a)/2 stays finite and tends to 0
+    import mpmath
+
+    spec = ScheduleSpec(family=Family.LOGISTIC, T=1000, k=0.1, t0=600.0)
+    with mpmath.workdps(60):
+        k = mpmath.mpf(spec.k)
+        a = 1 / (1 + mpmath.exp(k * (mpmath.mpf(t) - mpmath.mpf(spec.t0))))
+        da = -k * a * (1 - a)
+        assert a < ALPHA_BAR_MIN
+        want_x0 = float(da / (2 * mpmath.sqrt(a)))
+        want_eps = float(-da / (2 * mpmath.sqrt(1 - a)))
+    c = dx_dt_coefficients(spec, t)
+    assert c.finite
+    assert c.coeff_x0 == pytest.approx(want_x0, rel=1e-12)
+    assert c.coeff_eps == pytest.approx(want_eps, rel=1e-12)
+
+
+def test_sigmoid_genuine_zero_at_T_still_diverges():
+    # sigmoid's alpha_bar is exactly 0 at T, not merely under the floor
+    c = dx_dt_coefficients(ScheduleSpec(family=Family.SIGMOID, T=1000), 1000.0)
     assert not c.finite
     assert c.coeff_x0 == -math.inf
 
@@ -165,6 +192,9 @@ def test_scan_validation():
         singularity_scan(spec, 0.0, 1e-2, 1)
     with pytest.raises(ValidationError):
         singularity_scan(spec, 0.0, 200.0, 8)
+    for t_min, t_max in ((0.0, 5e-324), (5e-324, 1.0)):  # no float geometric spacing
+        with pytest.raises(ValidationError):
+            singularity_scan(spec, t_min, t_max, 8)
 
 
 @given(
@@ -219,16 +249,3 @@ def test_linearity_empty_window_rejected():
     with pytest.raises(ValidationError):
         logsnr_linearity_fit(table, window=(0.494, 0.506))  # < 3 points inside
 
-
-# ---------------------------------------------------------------------------
-# CSV
-
-def test_scan_csv_roundtrip(tmp_path):
-    spec = ScheduleSpec(family=Family.SCALED_LINEAR, T=100)
-    rows = singularity_scan(spec, 0.0, 1.0, 8)
-    path = tmp_path / "scan.csv"
-    write_scan_csv(rows, path)
-    back = read_scan_csv(path)
-    assert [r.t for r in back] == [r.t for r in rows]
-    assert [r.coeff_eps for r in back] == [r.coeff_eps for r in rows]
-    assert [r.finite for r in back] == [r.finite for r in rows]

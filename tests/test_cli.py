@@ -1,13 +1,31 @@
+import copy
 import csv
 import json
 import math
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from schedlab import Family, ScheduleSpec, build_table, logsnr_linearity_fit
+from schedlab import (
+    Family,
+    SamplerConfig,
+    ScheduleSpec,
+    build_table,
+    logsnr_linearity_fit,
+    psnr,
+    run_inversion,
+    run_reverse,
+    sample_x0,
+    singularity_scan,
+    time_grid,
+)
 from schedlab.cli import main
-from schedlab.schedules import integer_grid, read_schedule_csv
+from schedlab.presets import mixture_testbed
+from schedlab.schedules import integer_grid
 
 
 def write_config(tmp_path, name, payload):
@@ -37,6 +55,23 @@ def read_rows(path):
     return path.read_text().strip().splitlines()
 
 
+BOOL_CELLS = {"true": True, "false": False}
+
+
+def read_columns(path):
+    """A CSV artifact as {column: values}: true/false fields as bools, the rest as floats."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return {
+        name: [BOOL_CELLS[v] if v in BOOL_CELLS else float(v) for v in column]
+        for name, column in zip(header, zip(*rows))
+    }
+
+
+def bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
 # ---------------------------------------------------------------------------
 # schedule-dump
 
@@ -64,7 +99,7 @@ def test_schedule_dump_cosine_first_row_alpha_one(tmp_path):
         {"version": 1, "name": "cos", "schedule": {"family": "cosine", "T": 100}},
     )
     assert main(["schedule-dump", "--config", cfg, "--out", str(tmp_path), "--grid", "10"]) == 0
-    cols = read_schedule_csv(tmp_path / "cos_schedule.csv")
+    cols = read_columns(tmp_path / "cos_schedule.csv")
     assert cols["t"][0] == 0.0
     assert cols["alpha_bar"][0] == 1.0
     assert len(cols["t"]) == 11
@@ -104,7 +139,7 @@ def test_dumped_logsnr_reproduces_fit_inputs_bit_exactly(tmp_path):
         },
     )
     assert main(["schedule-dump", "--config", cfg, "--out", str(tmp_path)]) == 0
-    cols = read_schedule_csv(tmp_path / "fit_schedule.csv")
+    cols = read_columns(tmp_path / "fit_schedule.csv")
     spec = ScheduleSpec(family=Family.COSINE, T=100)
     table = build_table(spec, integer_grid(100))
     assert cols["logsnr"] == list(table.logsnr)
@@ -112,6 +147,27 @@ def test_dumped_logsnr_reproduces_fit_inputs_bit_exactly(tmp_path):
     direct = logsnr_linearity_fit(table)
     rebuilt = build_table(spec, cols["t"])
     assert logsnr_linearity_fit(rebuilt) == direct
+
+
+def test_schedule_csv_roundtrip(tmp_path):
+    # every column of the dump is the table's float64 value, bit for bit,
+    # and a second dump writes the same bytes
+    for family in Family:
+        name = f"rt_{family.value}"
+        payload = {"version": 1, "name": name, "schedule": {"family": family.value, "T": 100}}
+        cfg = write_config(tmp_path, name, payload)
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main(["schedule-dump", "--config", cfg, "--out", str(out)]) == 0
+        path = tmp_path / "a" / f"{name}_schedule.csv"
+        assert path.read_bytes() == (tmp_path / "b" / f"{name}_schedule.csv").read_bytes()
+        cols = read_columns(path)
+        table = build_table(ScheduleSpec(family=family, T=100), integer_grid(100))
+        assert list(cols) == ["t", "alpha_bar", "beta", "snr", "logsnr"]
+        assert bits(cols["t"]) == bits(table.timesteps)
+        assert bits(cols["alpha_bar"]) == bits(table.alpha_bar)
+        assert bits(cols["beta"]) == bits(table.beta)
+        assert bits(cols["snr"]) == bits(table.snr())
+        assert bits(cols["logsnr"]) == bits(table.logsnr)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +201,31 @@ def test_scan_logistic_flat_within_one_percent(tmp_path):
     rows = read_rows(tmp_path / "scan_logistic_scan.csv")[1:]
     mags = [abs(float(r.split(",")[2])) for r in rows]
     assert max(mags) / min(mags) < 1.01
+
+
+def test_scan_csv_roundtrip(tmp_path):
+    # a scaled_linear scan from t=0: the t=0 row is the divergent limit
+    cfg = write_config(
+        tmp_path,
+        "sl0",
+        {
+            "version": 1,
+            "name": "sl0",
+            "schedule": {"family": "scaled_linear", "T": 100},
+            "scan": {"t_min": 0.0, "t_max": 1.0, "n": 8},
+        },
+    )
+    assert main(["singularity-scan", "--config", cfg, "--out", str(tmp_path)]) == 0
+    cols = read_columns(tmp_path / "sl0_scan.csv")
+    rows = singularity_scan(ScheduleSpec(family=Family.SCALED_LINEAR, T=100), 0.0, 1.0, 8)
+    assert list(cols) == ["t", "coeff_x0", "coeff_eps", "d_alpha_bar_dt", "finite"]
+    assert bits(cols["t"]) == bits(r.t for r in rows)
+    assert bits(cols["coeff_x0"]) == bits(r.coeff_x0 for r in rows)
+    assert bits(cols["coeff_eps"]) == bits(r.coeff_eps for r in rows)
+    assert bits(cols["d_alpha_bar_dt"]) == bits(r.d_alpha_bar_dt for r in rows)
+    assert cols["finite"] == [r.finite for r in rows]
+    assert cols["coeff_eps"][0] == math.inf and cols["finite"][0] is False
+    assert all(cols["finite"][1:])
 
 
 def test_scan_two_point_grid(tmp_path):
@@ -337,6 +418,56 @@ def test_sweep_batch_matches_single_seed_sweeps(tmp_path):
         assert read_rows(batch_out / name)[1:] == single_rows
 
 
+@pytest.mark.parametrize("command", ["roundtrip", "edit-sim"])
+@pytest.mark.parametrize("n_steps", [1, 2, 3])
+def test_few_steps_run_with_null_linearity(tmp_path, command, n_steps):
+    # under 3 grid points fall in the logSNR fit window, so r^2 is null
+    cfg = roundtrip_config(tmp_path, name="few", sampler={"n_steps": n_steps})
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "few_report.json").read_text())
+    assert report["linearity_r2"] is None
+    assert report["n_steps"] == n_steps
+
+
+def test_n_steps_sweep_through_few_steps(tmp_path):
+    cfg = roundtrip_config(
+        tmp_path,
+        name="nfew",
+        sweep={"axis": "n_steps", "values": [1, 2, 3, 25], "command": "roundtrip"},
+    )
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(read_rows(tmp_path / "nfew_sweep.csv")) == 1 + 4
+    reports = json.loads((tmp_path / "nfew_sweep_reports.json").read_text())
+    assert [r["linearity_r2"] is None for r in reports] == [True, True, True, False]
+
+
+def test_non_finite_report_exits_3_and_writes_nothing(tmp_path, capsys):
+    # scaled_linear is singular at t=0, so a 1-step run is the identity
+    # anchor (a, a): the round trip is exact and its PSNR is infinite
+    spec = ScheduleSpec(family=Family.SCALED_LINEAR, T=1000)
+    config = SamplerConfig(n_steps=1)
+    table = build_table(spec, time_grid(config, spec.T))
+    bed = mixture_testbed()
+    pair = (bed.uncond, bed.source)
+    x0 = sample_x0(bed.source, 0, 2)
+    inv = run_inversion(pair, x0, table, config, [0, 1])
+    rec = run_reverse(pair, inv.states[:, -1], table, config, [0, 1])
+    assert np.array_equal(rec.states[:, -1], x0)
+    assert psnr(x0[0], rec.states[0, -1], 1.0) == math.inf
+
+    cfg = roundtrip_config(
+        tmp_path,
+        name="exact",
+        schedule={"family": "scaled_linear", "T": 1000},
+        sampler={"n_steps": 1},
+    )
+    out = tmp_path / "out"
+    assert main(["roundtrip", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric domain error:") and "exact_report.json" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # exit codes and config strictness
 
@@ -391,7 +522,10 @@ def test_inline_model_description(tmp_path):
         tmp_path,
         name="inline",
         schedule={"family": "logistic", "T": 100},
-        sampler={"n_steps": 10},
+        # at 10 steps this round trip is bit-exact: its PSNR is inf, which a
+        # report cannot hold, so the command would exit 3
+        # (test_non_finite_report_exits_3_and_writes_nothing)
+        sampler={"n_steps": 20},
         models={
             "source": {
                 "kind": "point_mass",
@@ -448,6 +582,9 @@ INLINE_POINT_MASS = {
         ),
         ("edit-sim", ("guidance_grid",), {"w_invert": [1.0], "w_reverse": [3.0]}),
         ("singularity-scan", ("schedule", "orientation"), "verbatim_increasing"),
+        ("schedule-dump", ("name",), ""),
+        ("schedule-dump", ("name",), "sub/dir"),
+        ("schedule-dump", ("name",), "nul\0byte"),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, key, value):
@@ -501,3 +638,123 @@ def test_non_finite_edit_exits_3_without_report(tmp_path, capsys):
     assert main(["edit-sim", "--config", cfg, "--out", str(out)]) == 3
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzzed front door: one field of a small valid config, mutated
+
+FUZZ_BASES = {
+    "schedule-dump": {
+        "version": 1,
+        "name": "fz",
+        "schedule": {"family": "cosine", "T": 200, "normalization": {"alpha_bar_at_T_target": 0.0}},
+        "grid": {"start": 0, "stop": 200},
+    },
+    "singularity-scan": {
+        "version": 1,
+        "name": "fz",
+        "schedule": {
+            "family": "sigmoid",
+            "T": 200,
+            "sigmoid_start": -3.0,
+            "sigmoid_end": 3.0,
+            "sigmoid_tau": 1.0,
+        },
+        "scan": {"t_min": 0.0, "t_max": 200.0, "n": 16},
+    },
+    "roundtrip": {
+        "version": 1,
+        "name": "fz",
+        "schedule": {"family": "logistic", "T": 1000, "k": 0.015, "t0": 600.0},
+        "sampler": {
+            "n_steps": 10,
+            "eta": 0.5,
+            "step_offset": 1,
+            "w_invert": 3.5,
+            "w_reverse": 7.5,
+            "input_scale_b": 1.0,
+            "variance_normalize": True,
+        },
+        "models": {"uncond": "mixture8.uncond", "source": "mixture8.source"},
+        "seeds": [0, 1],
+        "psnr_max_val": 4.0,
+    },
+    "edit-sim": {
+        "version": 1,
+        "name": "fz",
+        "schedule": {"family": "scaled_linear", "T": 500},
+        "sampler": {"n_steps": 8},
+        "models": {
+            "uncond": "mixture8.uncond",
+            "source": "mixture8.source",
+            "target": "mixture8.target",
+        },
+        "seeds": [3],
+        "edit_direction": [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    },
+    "sweep": {
+        "version": 1,
+        "name": "fz",
+        "schedule": {"family": "cosine", "T": 1000, "s": 0.008},
+        "sampler": {"n_steps": 12},
+        "models": {"source": "pointmass8"},
+        "seeds": [5],
+        "sweep": {"axis": "n_steps", "values": [4, 12], "command": "roundtrip"},
+    },
+}
+
+FUZZ_VALUES = {
+    "wrong kind": st.sampled_from(
+        ["x", "", "a/b", "a\0b", [], [1.5], {}, {"a": 1}, True, False, None, 0, 2.5]
+    ),
+    "non-finite token": st.sampled_from([math.nan, math.inf, -math.inf]),
+    "out of range": st.one_of(
+        st.integers(-(10**4), 10**4),
+        st.floats(-1e4, 1e4),
+        st.sampled_from([5e-324, 1e-300, 1e300, -1e300]),
+    ),
+}
+
+
+def config_paths(node, prefix=()):
+    """Key paths of every value below the config root, sections included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from config_paths(value, prefix + (key,))
+
+
+def lookup(payload, path):
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.data())
+def test_fuzzed_config_ends_in_a_documented_exit_code(data):
+    command = data.draw(st.sampled_from(sorted(FUZZ_BASES)))
+    payload = copy.deepcopy(FUZZ_BASES[command])
+    mutation = data.draw(st.sampled_from(["unknown key", *FUZZ_VALUES]))
+    paths = list(config_paths(payload))
+    if mutation == "unknown key":
+        sections = [()] + [p for p in paths if isinstance(lookup(payload, p), dict)]
+        lookup(payload, data.draw(st.sampled_from(sections)))["zz_unknown"] = 1
+    else:
+        path = data.draw(st.sampled_from(paths))
+        lookup(payload, path[:-1])[path[-1]] = data.draw(FUZZ_VALUES[mutation])
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.json"
+        cfg.write_text(json.dumps(payload))  # NaN and Infinity become bare tokens
+        out = Path(tmp) / "out"
+        rc = main([command, "--config", str(cfg), "--out", str(out)])
+        assert rc in (0, 2, 3, 4)
+        assert not list(Path(tmp).rglob("*.tmp*"))
+        if rc == 0:
+            for report in out.glob("*.json"):
+                json.loads(report.read_text(), parse_constant=pytest.fail)
+        elif rc in (2, 3):
+            assert not out.exists()

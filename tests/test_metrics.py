@@ -12,6 +12,7 @@ from schedlab import (
     mse,
     psnr,
 )
+from schedlab.metrics import psnr_of_mse
 
 
 def test_mse_identical_is_zero():
@@ -56,6 +57,13 @@ def test_psnr_eight_bit_value():
 def test_psnr_rejects_bad_max():
     with pytest.raises(ValidationError):
         psnr([0.0], [1.0], max_val=0.0)
+
+
+@pytest.mark.parametrize("m, max_val", [(1.0, 5e-324), (1e-300, 1e300), (1e300, 1e-300)])
+def test_psnr_of_mse_finite_when_the_ratio_leaves_float_range(m, max_val):
+    # max_val^2 / m underflows to 0 or overflows to inf; the log form does not
+    want = 20.0 * math.log10(max_val) - 10.0 * math.log10(m)
+    assert psnr_of_mse(m, max_val) == pytest.approx(want, rel=1e-12)
 
 
 @given(st.floats(min_value=1e-6, max_value=1e3), st.floats(min_value=1.01, max_value=10.0))

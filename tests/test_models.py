@@ -15,7 +15,6 @@ from schedlab import (
     exact_eps,
     guided_eps,
     model_from_dict,
-    model_to_dict,
     sample_x0,
 )
 from schedlab.presets import mixture_testbed, point_mass_model
@@ -253,19 +252,37 @@ def test_data_variance_mixture():
 
 def test_json_roundtrip():
     bed = mixture_testbed()
-    blob = model_to_dict(bed.target)
+    blob = {
+        "kind": "gaussian_mixture",
+        "dim": 8,
+        "components": [
+            {"weight": 0.5, "mean": [2.0, 1.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], "variance": 0.25},
+            {"weight": 0.5, "mean": [-2.0, 1.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], "variance": 0.25},
+        ],
+        "condition_label": "target",
+    }
     back = model_from_dict(blob)
     assert back == bed.target
-    assert blob["kind"] == "gaussian_mixture"
-    assert blob["condition_label"] == "target"
+    assert back.kind is ModelKind.GAUSSIAN_MIXTURE
+    assert back.condition_label == "target"
+
+
+def point_mass_blob():
+    return {
+        "kind": "point_mass",
+        "dim": 2,
+        "components": [{"weight": 1.0, "mean": [1.0, -1.25], "variance": 0.0}],
+        "condition_label": None,
+    }
 
 
 def test_json_unknown_fields_rejected():
-    blob = model_to_dict(point_mass_model(2))
+    assert model_from_dict(point_mass_blob()) == point_mass_model(2)
+    blob = point_mass_blob()
     blob["extra"] = 1
     with pytest.raises(ValidationError):
         model_from_dict(blob)
-    blob2 = model_to_dict(point_mass_model(2))
+    blob2 = point_mass_blob()
     blob2["components"][0]["sigma"] = 1
     with pytest.raises(ValidationError):
         model_from_dict(blob2)

@@ -25,12 +25,7 @@ from schedlab import (
     sample_x0,
     time_grid,
 )
-from schedlab.sampler import (
-    ddpm_sigma,
-    read_trajectory_bin,
-    write_trajectory_bin,
-    write_trajectory_csv,
-)
+from schedlab.sampler import ddpm_sigma
 from schedlab.presets import logistic_spec, mixture_testbed, point_mass_model
 
 
@@ -484,32 +479,3 @@ def test_bad_batch_shapes_rejected():
     with pytest.raises(ValidationError):
         run_reverse(bed.source, np.zeros((3, 8)), table, cfg, [0, 1])
 
-
-# ---------------------------------------------------------------------------
-# dumps
-
-def test_trajectory_binary_roundtrip(tmp_path):
-    bed = mixture_testbed()
-    table, cfg = make_table(logistic_spec(T=1000), 12)
-    x0 = sample_x0(bed.source, 0, 1)[0]
-    inv = run_inversion(bed.source, x0, table, cfg, 0)
-    path = tmp_path / "traj.bin"
-    write_trajectory_bin(inv, path)
-    data = read_trajectory_bin(path)
-    np.testing.assert_array_equal(data, inv.states)
-    raw = path.read_bytes()
-    assert raw[:8] == b"SCHDTRAJ"
-    assert int.from_bytes(raw[8:16], "little") == 8  # dim
-    assert int.from_bytes(raw[16:24], "little") == 13  # records
-
-
-def test_trajectory_csv_header(tmp_path):
-    bed = mixture_testbed()
-    table, cfg = make_table(logistic_spec(T=1000), 5)
-    x0 = sample_x0(bed.source, 0, 1)[0]
-    inv = run_inversion(bed.source, x0, table, cfg, 0)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(inv, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,t,alpha_bar,x_norm,eps_norm"
-    assert len(lines) == 7

@@ -20,12 +20,7 @@ from schedlab import (
     terminal_snr,
     time_grid,
 )
-from schedlab.schedules import (
-    integer_grid,
-    read_schedule_csv,
-    schedule_csv_text,
-    write_schedule_csv,
-)
+from schedlab.schedules import integer_grid
 
 ALL_FAMILIES = list(Family)
 
@@ -216,6 +211,8 @@ def test_spec_validation_errors():
         ScheduleSpec(family=Family.LOGISTIC, T=100, t0=100.0)
     with pytest.raises(ValidationError):
         ScheduleSpec(family=Family.COSINE, T=100, s=-0.1)
+    with pytest.raises(ValidationError):  # sig(3/tau) == sig(-3/tau) == 0.5 in float
+        ScheduleSpec(family=Family.SIGMOID, T=100, sigmoid_tau=1e300)
     with pytest.raises(ValidationError):
         ScheduleSpec(
             family=Family.LOGISTIC,
@@ -266,18 +263,3 @@ def test_affine_normalization_pins_terminal_only():
     assert eval_alpha_bar(spec, 0.0) == pytest.approx(eval_alpha_bar(raw, 0.0))
     assert eval_alpha_bar(spec, 100.0) == pytest.approx(0.1, abs=1e-15)
 
-
-# ---------------------------------------------------------------------------
-# CSV round-trip
-
-def test_schedule_csv_roundtrip(tmp_path):
-    spec = spec_for(Family.LOGISTIC)
-    table = build_table(spec, integer_grid(100))
-    path = tmp_path / "sched.csv"
-    write_schedule_csv(table, path)
-    cols = read_schedule_csv(path)
-    assert cols["t"] == list(table.timesteps)
-    assert cols["alpha_bar"] == list(table.alpha_bar)
-    assert cols["logsnr"] == list(table.logsnr)
-    # writing again produces identical bytes
-    assert path.read_text() == schedule_csv_text(table)
