@@ -20,24 +20,29 @@ from .harness import (
     paired_comparison,
     run_edit_scenario,
     run_roundtrip_scenario,
+    run_sweep,
     sign_test_pvalue,
 )
 from .metrics import RunReport, convergence_order_fit, edit_drift, mse, psnr
 from .models import (
     AnalyticModel,
     Component,
+    LevelConstants,
     ModelKind,
     data_range,
     data_variance,
     exact_eps,
     guided_eps,
+    level_constants,
     model_from_dict,
     sample_x0,
 )
 from .sampler import (
     OdeResult,
     SamplerConfig,
+    StepPlan,
     Trajectory,
+    Walk,
     ddim_invert_step,
     ddim_reverse_step,
     forward_closed_form,
@@ -46,7 +51,11 @@ from .sampler import (
     pinned_reconstruction,
     run_inversion,
     run_reverse,
+    step_plan,
     time_grid,
+    walk_inversion,
+    walk_pinned,
+    walk_reverse,
 )
 from .schedules import (
     ALPHA_BAR_MIN,

@@ -45,7 +45,7 @@ from pathlib import Path
 from . import __version__, schema
 from .calculus import singularity_scan
 from .errors import DomainError, ValidationError
-from .harness import ScenarioConfig, run_edit_scenario, run_roundtrip_scenario
+from .harness import ScenarioConfig, run_edit_scenario, run_roundtrip_scenario, run_sweep
 from .models import AnalyticModel
 from .presets import K_VALUES, T0_FRACTIONS, input_scale_values, resolve_model_preset
 from .sampler import SamplerConfig
@@ -358,8 +358,7 @@ def cmd_sweep(args, cfg: ConfigFile, start: float) -> int:
     scenarios = [
         _sweep_scenario(base, axis, v, f"config.sweep.values[{i}]") for i, v in enumerate(values)
     ]
-    runner = run_edit_scenario if cfg.sweep.command == "edit-sim" else run_roundtrip_scenario
-    reports = [runner(sc)[0] for sc in scenarios]
+    reports = run_sweep(scenarios, edit=cfg.sweep.command == "edit-sim")
 
     rows = [
         (

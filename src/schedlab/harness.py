@@ -7,8 +7,13 @@ source condition; edit runs additionally regenerate under the target
 condition, both free-running and pinned to the stored inversion path.
 
 Every trajectory of a scenario runs all of its seeds at once as one
-(S, dim) batch (see ``schedlab.sampler``); each seed keeps its own Philox
-streams, so its per-seed result is bitwise the same in any seed list.
+(S, dim) batch, and the cells of a sweep (scenarios that share models and
+seeds) run as one batch too: ``run_sweep`` walks C cells x S seeds over
+one step plan and returns one report per cell (see ``schedlab.sampler``).
+A single roundtrip or edit is the one-cell case.  Each seed keeps its own
+Philox streams and each row sees only elementwise operations, so a cell's
+per-seed results are bitwise the same in any seed list and alone or in a
+sweep.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,10 +32,11 @@ from .models import AnalyticModel, data_range, sample_x0
 from .sampler import (
     SamplerConfig,
     Trajectory,
-    pinned_reconstruction,
-    run_inversion,
-    run_reverse,
+    step_plan,
     time_grid,
+    walk_inversion,
+    walk_pinned,
+    walk_reverse,
 )
 from .schedules import ScheduleSpec, ScheduleTable, build_table
 
@@ -91,20 +97,11 @@ def derive_edit_direction(scenario: ScenarioConfig) -> np.ndarray:
     return d
 
 
-def local_errors(inversion: Trajectory, reverse: Trajectory) -> np.ndarray:
-    """Per-grid-point distance between the two trajectories, ordered by t.
-
-    Shape (S, n_steps) for batched runs, (n_steps,) for single ones.
-    """
-    gap = inversion.states[..., 1:, :] - reverse.states[..., -2::-1, :]
-    return np.linalg.norm(gap, axis=-1)
-
-
 @dataclasses.dataclass
 class RoundtripResult:
     seed: int
     roundtrip_mse: float
-    roundtrip_psnr: float
+    roundtrip_psnr: float | None
     local_errors: list[float]
     inversion: Trajectory
     reverse: Trajectory
@@ -122,31 +119,94 @@ class EditResult:
     inversion: Trajectory
 
 
-def _roundtrip(scenario: ScenarioConfig, table: ScheduleTable):
-    """Batched inversion of every seed's data draw and its source reconstruction."""
-    seeds = scenario.seeds
-    x0 = np.stack([sample_x0(scenario.source, s, 1)[0] for s in seeds])
-    pair = (scenario.uncond, scenario.source)
-    inv = run_inversion(pair, x0, table, scenario.sampler, seeds)
-    rec = run_reverse(pair, inv.states[:, -1], table, scenario.sampler, seeds)
-    mses = [mse(inv.states[i, 0], rec.states[i, -1]) for i in range(len(seeds))]
-    return inv, rec, mses, local_errors(inv, rec)
+def _psnr(m: float, max_val: float) -> float | None:
+    """PSNR of an MSE; None for a bit-exact round trip (MSE 0), whose PSNR
+    is infinite and is written as null."""
+    return None if m == 0.0 else psnr_of_mse(m, max_val)
 
 
-def _report(scenario, table, start, inv, mses, local, drifts=(None, None)) -> RunReport:
+class _Cell(NamedTuple):
+    """One cell of a batched run: its table, its (scaled) data draws x0,
+    its per-seed round-trip MSEs and local errors, (S, n_steps), and for
+    edits the final edited and pinned states, (S, dim)."""
+
+    scenario: ScenarioConfig
+    table: ScheduleTable
+    clamped: bool
+    x0: np.ndarray
+    mses: list[float]
+    local: np.ndarray
+    edited: np.ndarray | None = None
+    pinned: np.ndarray | None = None
+
+
+def _run_cells(scenarios: Sequence[ScenarioConfig], edit: bool, keep_eps: bool):
+    """Walk every cell of ``scenarios`` as one batch: inversion, source
+    reconstruction and, for edits, the free and pinned target runs.  The
+    inversion and reconstruction keep their predictions only if
+    ``keep_eps``; the target runs never do.
+
+    Returns the inversion and reconstruction walks and one ``_Cell`` per
+    scenario, in the caller's order.
+    """
+    base = scenarios[0]
+    for sc in scenarios[1:]:
+        if (sc.uncond, sc.source, sc.target, sc.seeds) != (
+            base.uncond, base.source, base.target, base.seeds
+        ):
+            raise ValidationError("cells of one batch must share their models and seeds")
+    if edit and base.target is None:
+        raise ValidationError("edit run needs a target model")
+    tables = [scenario_table(sc) for sc in scenarios]
+    src = (base.uncond, base.source)
+    tgt = (base.uncond, base.target)
+    models = src + ((base.target,) if edit else ())
+    plan = step_plan([(t, sc.sampler) for t, sc in zip(tables, scenarios)], models)
+    seeds = base.seeds
+    x0 = np.stack([sample_x0(base.source, s, 1)[0] for s in seeds])
+    inv = walk_inversion(plan, src, x0, keep_eps)
+    tops = inv.states[plan.top_rows()]
+    rec = walk_reverse(plan, src, tops, seeds, keep_eps)
+    edited = pinned = None
+    if edit:
+        edited = walk_reverse(plan, tgt, tops, seeds, keep_eps=False).states
+        pinned = walk_pinned(plan, inv, src, tgt, seeds, keep_eps=False).states
+    # every level's gap between the two walks, (L, S): the Euclidean norm
+    # along the coordinate axis, squared in place to hold one copy of the walk
+    gaps = inv.states - rec.states
+    gaps = np.sqrt(np.add.reduce(np.multiply(gaps, gaps, out=gaps), axis=-1))
+    cells = [None] * len(scenarios)
+    for i, j in enumerate(plan.order):
+        # level 0 of every cell is in the first block, row i
+        x0_i, rec_i = inv.states[i], rec.states[i]
+        cells[j] = _Cell(
+            scenario=scenarios[j],
+            table=tables[j],
+            clamped=plan.clamped[i],
+            x0=x0_i,
+            mses=[mse(x0_i[s], rec_i[s]) for s in range(len(seeds))],
+            local=np.ascontiguousarray(gaps[plan.rows(i)[1:]].T),
+            edited=None if edited is None else edited[i],
+            pinned=None if pinned is None else pinned[i],
+        )
+    return inv, rec, cells
+
+
+def _report(cell: _Cell, start: float, drifts=(None, None)) -> RunReport:
+    scenario, table = cell.scenario, cell.table
     wall = time.perf_counter() - start
-    mean_mse = float(np.mean(mses))
+    mean_mse = float(np.mean(cell.mses))
     try:
         r2 = logsnr_linearity_fit(table)[2]
     except ValidationError:  # fewer than 3 finite grid points in the fit window
         r2 = None
     return RunReport(
-        local_errors=tuple(float(v) for v in np.mean(local, axis=0)),
+        local_errors=tuple(float(v) for v in np.mean(cell.local, axis=0)),
         roundtrip_mse=mean_mse,
-        roundtrip_psnr=psnr_of_mse(mean_mse, scenario_max_val(scenario)),
+        roundtrip_psnr=_psnr(mean_mse, scenario_max_val(scenario)),
         edit_drift=drifts[0],
         pinned_edit_drift=drifts[1],
-        start_clamped=inv.start_clamped,
+        start_clamped=cell.clamped,
         scenario_id=scenario.name,
         schedule_family=scenario.schedule.family.value,
         n_steps=scenario.sampler.n_steps,
@@ -157,60 +217,79 @@ def _report(scenario, table, start, inv, mses, local, drifts=(None, None)) -> Ru
     )
 
 
+def _edit_drifts(cell: _Cell, direction: np.ndarray) -> tuple[list[float], list[float]]:
+    """Per-seed drift of the free and the pinned edit."""
+    x0 = cell.x0
+    return (
+        [edit_drift(x0[s], cell.edited[s], direction) for s in range(len(x0))],
+        [edit_drift(x0[s], cell.pinned[s], direction) for s in range(len(x0))],
+    )
+
+
+def run_sweep(scenarios: Sequence[ScenarioConfig], edit: bool) -> list[RunReport]:
+    """One report per scenario, all of them walked as one batch.
+
+    The scenarios (the cells of a sweep) must share their models and seeds;
+    they may differ in schedule and sampler settings, ``eta`` and
+    ``variance_normalize`` excepted.  Each wall time is the whole batch's.
+    """
+    start = time.perf_counter()
+    if not scenarios:
+        raise ValidationError("a sweep needs at least one scenario")
+    direction = derive_edit_direction(scenarios[0]) if edit else None
+    reports = []
+    for cell in _run_cells(scenarios, edit, keep_eps=False)[2]:
+        drifts = (None, None)
+        if edit:
+            drifts = tuple(float(np.mean(d)) for d in _edit_drifts(cell, direction))
+        reports.append(_report(cell, start, drifts))
+    return reports
+
+
 def run_roundtrip_scenario(
     scenario: ScenarioConfig,
 ) -> tuple[RunReport, list[RoundtripResult]]:
     start = time.perf_counter()
-    table = scenario_table(scenario)
-    inv, rec, mses, local = _roundtrip(scenario, table)
+    inv, rec, (cell,) = _run_cells([scenario], edit=False, keep_eps=True)
+    inv, rec = inv.trajectory(), rec.trajectory()
     max_val = scenario_max_val(scenario)
     results = [
         RoundtripResult(
             seed=s,
-            roundtrip_mse=mses[i],
-            roundtrip_psnr=psnr_of_mse(mses[i], max_val),
-            local_errors=local[i].tolist(),
+            roundtrip_mse=cell.mses[i],
+            roundtrip_psnr=_psnr(cell.mses[i], max_val),
+            local_errors=cell.local[i].tolist(),
             inversion=inv.row(i),
             reverse=rec.row(i),
         )
         for i, s in enumerate(scenario.seeds)
     ]
-    return _report(scenario, table, start, inv, mses, local), results
+    return _report(cell, start), results
 
 
 def run_edit_scenario(
     scenario: ScenarioConfig,
 ) -> tuple[RunReport, list[EditResult]]:
     start = time.perf_counter()
-    table = scenario_table(scenario)
     direction = derive_edit_direction(scenario)
-    if scenario.target is None:
-        raise ValidationError("edit run needs a target model")
-    inv, _, mses, local = _roundtrip(scenario, table)
-    seeds, sampler = scenario.seeds, scenario.sampler
-    src_pair = (scenario.uncond, scenario.source)
-    tgt_pair = (scenario.uncond, scenario.target)
-    edited = run_reverse(tgt_pair, inv.states[:, -1], table, sampler, seeds).states[:, -1]
-    pinned = pinned_reconstruction(inv, src_pair, tgt_pair, table, sampler, seeds).states[:, -1]
-    x0 = inv.states[:, 0]
+    inv, _, (cell,) = _run_cells([scenario], edit=True, keep_eps=True)
+    inv = inv.trajectory()
+    drifts = _edit_drifts(cell, direction)
     results = [
         EditResult(
             seed=s,
-            roundtrip_mse=mses[i],
-            edit_drift=edit_drift(x0[i], edited[i], direction),
-            pinned_edit_drift=edit_drift(x0[i], pinned[i], direction),
-            local_errors=local[i].tolist(),
-            edited=edited[i],
-            edited_pinned=pinned[i],
+            roundtrip_mse=cell.mses[i],
+            edit_drift=drifts[0][i],
+            pinned_edit_drift=drifts[1][i],
+            local_errors=cell.local[i].tolist(),
+            edited=cell.edited[i],
+            edited_pinned=cell.pinned[i],
             inversion=inv.row(i),
         )
-        for i, s in enumerate(seeds)
+        for i, s in enumerate(scenario.seeds)
     ]
-    drifts = (
-        float(np.mean([r.edit_drift for r in results])),
-        float(np.mean([r.pinned_edit_drift for r in results])),
-    )
-    return _report(scenario, table, start, inv, mses, local, drifts), results
+    means = tuple(float(np.mean(d)) for d in drifts)
+    return _report(cell, start, means), results
 
 
 def sign_test_pvalue(wins: int, trials: int) -> float:

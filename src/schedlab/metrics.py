@@ -94,8 +94,9 @@ class RunReport:
     ``local_errors`` has one entry per sampler grid point (state distance
     between the inversion and reverse trajectories at matched timesteps).
     ``psnr_max_val`` documents the max value used in the PSNR formula for
-    this scenario.  ``linearity_r2`` is the logSNR line fit's r^2 on the
-    sampler grid, None when fewer than 3 grid points fall in its window.
+    this scenario; ``roundtrip_psnr`` is None for a bit-exact round trip
+    (MSE 0).  ``linearity_r2`` is the logSNR line fit's r^2 on the sampler
+    grid, None when fewer than 3 grid points fall in its window.
     Wall time is serialised into the side metadata file, not into the report
     artifact, so report files stay byte-identical across reruns.
     """
@@ -105,7 +106,7 @@ class RunReport:
     n_steps: int
     local_errors: tuple[float, ...]
     roundtrip_mse: float
-    roundtrip_psnr: float
+    roundtrip_psnr: float | None
     edit_drift: float | None
     terminal_logsnr: float
     linearity_r2: float | None

@@ -19,7 +19,7 @@ import dataclasses
 import enum
 import functools
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,61 +91,129 @@ class AnalyticModel:
         return arrays
 
 
-def _check_state(model: AnalyticModel, x: Sequence[float]) -> np.ndarray:
+class LevelConstants(NamedTuple):
+    """One model's noise-predictor constants at C noise levels a, one per cell.
+
+    Built once per run by ``level_constants``; a run walks them by slicing
+    (``block``).  Shapes broadcast over a (C, S, dim) state batch: sqrt(a)*mu
+    is (C, 1, K, dim), sqrt(1-a) is (C, 1, 1, 1), s2 = a*var + 1-a and
+    dim*log(2*pi*s2) are (C, 1, K), and log w is (K,).
+    """
+
+    model: AnalyticModel
+    sqrt_a_mu: np.ndarray
+    sqrt_1ma: np.ndarray
+    s2: np.ndarray
+    dim_log: np.ndarray
+    log_w: np.ndarray
+
+    def block(self, rows: slice) -> "LevelConstants":
+        """The constants of the levels in ``rows`` (views, no copy)."""
+        return LevelConstants(
+            self.model, self.sqrt_a_mu[rows], self.sqrt_1ma[rows], self.s2[rows],
+            self.dim_log[rows], self.log_w,
+        )
+
+
+def level_constants(model: AnalyticModel, alpha_bars: Sequence[float]) -> LevelConstants:
+    """``model``'s predictor constants at every level of ``alpha_bars``.
+
+    Each level must lie in (0, 1); the predictor is undefined elsewhere.
+    """
+    a = np.asarray(alpha_bars, dtype=float)
+    ok = (a > 0.0) & (a < 1.0)
+    if not ok.all():
+        raise DomainError(f"predictor undefined at alpha_bar={a[~ok][0]}")
+    w, mu, var = model.arrays
+    s2 = a[:, None] * var + (1.0 - a)[:, None]  # (C, K)
+    return LevelConstants(
+        model,
+        np.sqrt(a)[:, None, None, None] * mu,
+        np.sqrt(1.0 - a)[:, None, None, None],
+        s2[:, None, :],
+        model.dim * np.log(2.0 * math.pi * s2)[:, None, :],
+        np.log(w),
+    )
+
+
+def _check_state(model: AnalyticModel, x: Sequence[float], cells: bool) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if arr.ndim not in (1, 2) or arr.shape[-1] != model.dim:
+    if cells and (arr.ndim != 3 or arr.shape[-1] != model.dim):
+        raise ValidationError(f"cell state shape {arr.shape} is not (C, S, {model.dim})")
+    if not cells and (arr.ndim not in (1, 2) or arr.shape[-1] != model.dim):
         raise ValidationError(
             f"state shape {arr.shape} is neither ({model.dim},) nor (S, {model.dim})"
         )
     return arr
 
 
-def exact_eps(model: AnalyticModel, x_t: Sequence[float], alpha_bar: float) -> np.ndarray:
-    """Optimal noise prediction for a (dim,) state or an (S, dim) batch of states.
+def exact_eps(
+    model: AnalyticModel, x_t: Sequence[float], alpha_bar: float | LevelConstants
+) -> np.ndarray:
+    """Optimal noise prediction at one noise level or at one level per cell.
 
-    Responsibilities are computed in log space with max subtraction so the
-    mixture path stays stable at extreme logSNR.  Only elementwise operations
-    and reductions along the coordinate or component axis touch the states,
-    so each row's result is bitwise the same whatever batch it is in.
+    With a float ``alpha_bar``, ``x_t`` is a (dim,) state or an (S, dim)
+    batch.  With ``model``'s ``LevelConstants`` at C levels, ``x_t`` is a
+    (C, S, dim) batch whose cell c sits at level c.  Responsibilities are
+    computed in log space with max subtraction so the mixture path stays
+    stable at extreme logSNR.  Only elementwise operations and reductions
+    along the coordinate or component axis touch the states, so each row's
+    result is bitwise the same whatever batch or cell block it is in.
     """
-    if not 0.0 < alpha_bar < 1.0:
-        raise DomainError(f"predictor undefined at alpha_bar={alpha_bar}")
-    x = _check_state(model, x_t)
-    w, mu, var = model.arrays
-    s2 = alpha_bar * var + (1.0 - alpha_bar)  # (K,)
-    diff = x[..., None, :] - math.sqrt(alpha_bar) * mu  # (..., K, dim)
-    per_comp = math.sqrt(1.0 - alpha_bar) * diff / s2[:, None]
+    if isinstance(alpha_bar, LevelConstants):
+        c = alpha_bar
+        if c.model is not model:
+            raise ValidationError("level constants belong to another model")
+        x = _check_state(model, x_t, cells=True)
+        if x.shape[0] != len(c.sqrt_1ma):
+            raise ValidationError(f"{x.shape[0]} cells of states for {len(c.sqrt_1ma)} levels")
+        cells = x
+    else:
+        c = level_constants(model, (alpha_bar,))
+        x = _check_state(model, x_t, cells=False)
+        cells = x.reshape(1, -1, model.dim)
+    diff = cells[:, :, None, :] - c.sqrt_a_mu  # (C, S, K, dim)
+    per_comp = c.sqrt_1ma * diff / c.s2[..., None]
     if len(model.components) == 1:
-        return per_comp[..., 0, :]
-    sq = np.sum(diff * diff, axis=-1)  # (..., K)
-    log_r = np.log(w) - 0.5 * (model.dim * np.log(2.0 * math.pi * s2) + sq / s2)
-    log_r -= log_r.max(axis=-1, keepdims=True)
+        return per_comp[..., 0, :].reshape(x.shape)
+    sq = np.add.reduce(diff * diff, axis=-1)  # (C, S, K)
+    log_r = c.log_w - 0.5 * (c.dim_log + sq / c.s2)
+    log_r -= np.maximum.reduce(log_r, axis=-1, keepdims=True)
     r = np.exp(log_r)
-    r /= r.sum(axis=-1, keepdims=True)
+    r /= np.add.reduce(r, axis=-1, keepdims=True)
     # component-order sum, not a matmul, whose BLAS kernel may vary with the batch
-    out = r[..., 0, None] * per_comp[..., 0, :]
+    terms = r[..., None] * per_comp
+    out = terms[..., 0, :].copy()
     for k in range(1, len(model.components)):
-        out = out + r[..., k, None] * per_comp[..., k, :]
-    return out
+        out += terms[..., k, :]
+    return out.reshape(x.shape)
 
 
 def guided_eps(
     model_uncond: AnalyticModel,
     model_cond: AnalyticModel,
     x_t: Sequence[float],
-    alpha_bar: float,
-    w: float,
+    alpha_bar: float | tuple[LevelConstants, LevelConstants],
+    w: float | np.ndarray,
 ) -> np.ndarray:
-    """Classifier-free mixing eps_u + w * (eps_c - eps_u), on (dim,) or (S, dim)."""
+    """Classifier-free mixing eps_u + w * (eps_c - eps_u).
+
+    On a (dim,) or (S, dim) state at a float level, or on a (C, S, dim)
+    batch with the two models' ``LevelConstants`` and a weight per cell
+    ((C, 1, 1)).  A zero weight gives eps_u itself.
+    """
     if model_uncond.dim != model_cond.dim:
         raise ValidationError(
             f"model dims differ: {model_uncond.dim} vs {model_cond.dim}"
         )
-    e_u = exact_eps(model_uncond, x_t, alpha_bar)
-    if w == 0.0:
+    a_u, a_c = alpha_bar if isinstance(alpha_bar, tuple) else (alpha_bar, alpha_bar)
+    e_u = exact_eps(model_uncond, x_t, a_u)
+    zero = np.equal(w, 0.0)
+    if zero.all():
         return e_u
-    e_c = exact_eps(model_cond, x_t, alpha_bar)
-    return e_u + w * (e_c - e_u)
+    e_c = exact_eps(model_cond, x_t, a_c)
+    out = e_u + w * (e_c - e_u)
+    return np.where(zero, e_u, out) if zero.any() else out
 
 
 def sample_x0(model: AnalyticModel, rng_seed: int, n: int) -> np.ndarray:

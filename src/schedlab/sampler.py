@@ -20,24 +20,40 @@ run anchors the clean state at the grid's first timestep instead
 step.  The logistic family keeps alpha_bar(0) < 1, so both endpoints are
 genuine steps there.
 
-Batch layout: every run takes the states of S seeds at once, an (S, dim)
-array, and records (S, n_steps + 1, dim) states; a single (dim,) state gives
-(n_steps + 1, dim) records.  Each seed owns one Philox stream, keyed by its
-seed, for the eta > 0 noise, and only elementwise operations and reductions
-along the coordinate axis mix values, so a seed's records are bitwise the
-same alone, in any batch and at any batch position.
+Batch layout: a run walks C cells x S seeds at once.  A cell is one
+(schedule table, sampler config) pair; the cells of a sweep share models and
+seeds and differ in n_steps, schedule parameters, input scale or guidance.
+``step_plan`` builds every cell's noise levels, step coefficients and
+predictor constants once per run, walk-major: at level k the active cells
+are a prefix of the cells (ordered by n_steps, largest first), so the walk
+steps one (C_k, S, dim) view per level and a shorter cell simply drops out.
+``walk_inversion``, ``walk_reverse`` and ``walk_pinned`` walk a plan;
+``run_inversion``, ``run_reverse`` and ``pinned_reconstruction`` are the
+one-cell case, taking (S, dim) states (or a single (dim,) state) and
+recording (S, n_steps + 1, dim) trajectories.  Each seed owns one Philox
+stream, keyed by its seed, for the eta > 0 noise, and only elementwise
+operations and reductions along the coordinate axis mix values, so a seed's
+records are bitwise the same alone, in any batch, at any batch position and
+alone or in a sweep.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .models import AnalyticModel, data_variance, exact_eps, guided_eps
+from .models import (
+    AnalyticModel,
+    LevelConstants,
+    data_variance,
+    exact_eps,
+    guided_eps,
+    level_constants,
+)
 from .schedules import ScheduleTable, alpha_bar_and_derivative, eval_alpha_bar
 
 ModelPair = tuple[AnalyticModel, AnalyticModel | None]
@@ -140,17 +156,72 @@ def forward_closed_form(
     return x
 
 
-def _state_std(alpha_bar: float, b: float, sigma0_sq: float) -> float:
+def _state_std(alpha_bar, b, sigma0_sq):
     """sqrt(a*b^2*sigma0_sq + 1-a): the std of x_t for data of variance
-    sigma0_sq scaled by b, which variance normalization divides out."""
-    return math.sqrt(alpha_bar * b * b * sigma0_sq + 1.0 - alpha_bar)
+    sigma0_sq scaled by b, which variance normalization divides out.
+    Floats or arrays."""
+    return np.sqrt(alpha_bar * b * b * sigma0_sq + 1.0 - alpha_bar)
 
 
-def ddpm_sigma(alpha_bar_t: float, alpha_bar_prev: float) -> float:
-    """Posterior std sqrt((1-a_prev)/(1-a_t)) * sqrt(1 - a_t/a_prev)."""
-    return math.sqrt((1.0 - alpha_bar_prev) / (1.0 - alpha_bar_t)) * math.sqrt(
+def _check_levels(a, name: str, one_ok: bool) -> None:
+    a = np.asarray(a)
+    ok = (a > 0.0) & ((a <= 1.0) if one_ok else (a < 1.0))
+    if not ok.all():
+        raise DomainError(f"{name} must be in (0, {'1]' if one_ok else '1)'}, got {a[~ok].flat[0]}")
+
+
+def ddpm_sigma(alpha_bar_t, alpha_bar_prev):
+    """Posterior std sqrt((1-a_prev)/(1-a_t)) * sqrt(1 - a_t/a_prev); floats or arrays."""
+    return np.sqrt((1.0 - alpha_bar_prev) / (1.0 - alpha_bar_t)) * np.sqrt(
         1.0 - alpha_bar_t / alpha_bar_prev
     )
+
+
+def invert_coefficients(alpha_bar_prev, alpha_bar_t):
+    """(scale, drift) of the inversion step a_prev -> a_t, whose result is
+    scale * x_prev + drift * eps_hat.  Floats or arrays of step pairs."""
+    _check_levels(alpha_bar_t, "alpha_bar_t", one_ok=False)
+    _check_levels(alpha_bar_prev, "alpha_bar_prev", one_ok=True)
+    scale = np.sqrt(alpha_bar_t / alpha_bar_prev)
+    drift = np.sqrt(alpha_bar_t) * (
+        np.sqrt(1.0 / alpha_bar_t - 1.0) - np.sqrt(1.0 / alpha_bar_prev - 1.0)
+    )
+    return scale, drift
+
+
+def reverse_coefficients(alpha_bar_t, alpha_bar_prev, eta: float):
+    """(sqrt(1-a_t), sqrt(a_t), sqrt(a_prev), sqrt(1-a_prev-sigma^2), sigma)
+    of the generation step a_t -> a_prev with sigma = eta * sigma_ddpm.
+    Floats or arrays of step pairs; ``_reverse_apply`` uses them."""
+    _check_levels(alpha_bar_t, "alpha_bar_t", one_ok=False)
+    _check_levels(alpha_bar_prev, "alpha_bar_prev", one_ok=True)
+    sigma = 0.0
+    if eta > 0.0:
+        if np.any(alpha_bar_prev < alpha_bar_t):
+            raise DomainError("stochastic step needs alpha_bar_prev >= alpha_bar_t")
+        sigma = eta * ddpm_sigma(alpha_bar_t, alpha_bar_prev)
+    rad = 1.0 - alpha_bar_prev - sigma * sigma
+    if np.any(rad < -1e-12):
+        raise DomainError(
+            f"eta={eta} invalid for this step pair: 1 - a_prev - sigma^2 = {np.min(rad)}"
+        )
+    rad = np.where(rad < 0.0, 0.0, rad)
+    return (
+        np.sqrt(1.0 - alpha_bar_t),
+        np.sqrt(alpha_bar_t),
+        np.sqrt(alpha_bar_prev),
+        np.sqrt(rad),
+        sigma,
+    )
+
+
+def _reverse_apply(coefficients, x_t, eps_hat, noise):
+    c_t, sqrt_t, sqrt_prev, c_prev, sigma = coefficients
+    pred_x0 = (x_t - c_t * eps_hat) / sqrt_t
+    out = sqrt_prev * pred_x0 + c_prev * eps_hat
+    if noise is not None:
+        out = out + sigma * noise
+    return out
 
 
 def ddim_reverse_step(
@@ -166,32 +237,15 @@ def ddim_reverse_step(
     ``eta`` spans the deterministic-to-DDPM family: sigma = eta * sigma_ddpm.
     a_prev may be exactly 1 at the final step (result collapses to pred_x0).
     """
-    if not 0.0 < alpha_bar_t < 1.0:
-        raise DomainError(f"alpha_bar_t must be in (0, 1), got {alpha_bar_t}")
-    if not 0.0 < alpha_bar_prev <= 1.0:
-        raise DomainError(f"alpha_bar_prev must be in (0, 1], got {alpha_bar_prev}")
-    x_t = np.asarray(x_t, dtype=float)
-    eps_hat = np.asarray(eps_hat, dtype=float)
-
-    sigma = 0.0
-    if eta > 0.0:
-        if alpha_bar_prev < alpha_bar_t:
-            raise DomainError("stochastic step needs alpha_bar_prev >= alpha_bar_t")
-        sigma = eta * ddpm_sigma(alpha_bar_t, alpha_bar_prev)
-    rad = 1.0 - alpha_bar_prev - sigma * sigma
-    if rad < -1e-12:
-        raise DomainError(
-            f"eta={eta} invalid for this step pair: 1 - a_prev - sigma^2 = {rad}"
-        )
-    rad = max(rad, 0.0)
-
-    pred_x0 = (x_t - math.sqrt(1.0 - alpha_bar_t) * eps_hat) / math.sqrt(alpha_bar_t)
-    out = math.sqrt(alpha_bar_prev) * pred_x0 + math.sqrt(rad) * eps_hat
-    if sigma > 0.0:
+    coefficients = reverse_coefficients(alpha_bar_t, alpha_bar_prev, eta)
+    if coefficients[-1] > 0.0:
         if noise is None:
             raise ValidationError("eta > 0 requires a noise vector")
-        out = out + sigma * np.asarray(noise, dtype=float)
-    return out
+        noise = np.asarray(noise, dtype=float)
+    else:
+        noise = None
+    x_t = np.asarray(x_t, dtype=float)
+    return _reverse_apply(coefficients, x_t, np.asarray(eps_hat, dtype=float), noise)
 
 
 def ddim_invert_step(
@@ -205,71 +259,158 @@ def ddim_invert_step(
     Exact algebraic inverse of the eta=0 reverse step when the same eps_hat
     is supplied.  a_prev may be exactly 1 at the first step.
     """
-    if not 0.0 < alpha_bar_t < 1.0:
-        raise DomainError(f"alpha_bar_t must be in (0, 1), got {alpha_bar_t}")
-    if not 0.0 < alpha_bar_prev <= 1.0:
-        raise DomainError(f"alpha_bar_prev must be in (0, 1], got {alpha_bar_prev}")
-    x_prev = np.asarray(x_prev, dtype=float)
-    eps_hat = np.asarray(eps_hat, dtype=float)
-    scale = math.sqrt(alpha_bar_t / alpha_bar_prev)
-    drift = math.sqrt(alpha_bar_t) * (
-        math.sqrt(1.0 / alpha_bar_t - 1.0) - math.sqrt(1.0 / alpha_bar_prev - 1.0)
-    )
-    return scale * x_prev + drift * eps_hat
+    scale, drift = invert_coefficients(alpha_bar_prev, alpha_bar_t)
+    return scale * np.asarray(x_prev, dtype=float) + drift * np.asarray(eps_hat, dtype=float)
 
 
 # ---------------------------------------------------------------------------
-# trajectory runs
+# the step plan: every cell of a run walked as one batch
+
+class StepPlan(NamedTuple):
+    """Noise levels, step coefficients and predictor constants of C cells.
+
+    A cell is one (table, sampler config) pair; all cells of a plan run the
+    same seeds through the same models.  Cells are ordered by ``n_steps``,
+    largest first (``order[i]`` is the caller's index of cell i).  Level 0
+    of a cell is its t=0 anchor and level k its k-th grid point.
+
+    Arrays over levels are walk-major: block k (``blocks[k]``) holds level k
+    of cells 0..counts[k]-1, the cells with n_steps >= k, so a block is a
+    prefix of the cells and a shorter cell drops out of the later blocks.
+    Row r of block k > 0 also holds its cell's step between levels k-1 and
+    k: the ``invert`` and ``reverse`` coefficients, shaped (L, 1, 1) to
+    broadcast over a (C_k, S, dim) state block, and whether the step is the
+    identity (equal levels, as at a clamped anchor).
+    """
+
+    cells: tuple[tuple[ScheduleTable, SamplerConfig], ...]
+    order: tuple[int, ...]
+    n_steps: np.ndarray  # (C,)
+    clamped: tuple[bool, ...]
+    counts: tuple[int, ...]
+    blocks: tuple[slice, ...]
+    alpha_bars: np.ndarray  # (L,)
+    identity: np.ndarray  # (L, 1, 1) bool
+    has_identity: tuple[bool, ...]  # per block
+    invert: tuple[np.ndarray, ...]  # see invert_coefficients
+    reverse: tuple[np.ndarray, ...]  # see reverse_coefficients
+    constants: dict[int, LevelConstants]  # id(model) -> its constants at every level
+
+    def cell_array(self, field: str) -> np.ndarray:
+        """One sampler config field per cell, as a (C, 1, 1) array."""
+        return np.array([getattr(config, field) for _, config in self.cells])[:, None, None]
+
+    def rows(self, i: int) -> np.ndarray:
+        """Walk-major rows of cell i's levels 0..n_steps."""
+        return np.array([self.blocks[k].start + i for k in range(self.n_steps[i] + 1)])
+
+    def top_rows(self) -> list[int]:
+        """Walk-major row of each cell's last level."""
+        return [self.blocks[n].start + i for i, n in enumerate(self.n_steps)]
+
+
+def step_plan(
+    cells: Sequence[tuple[ScheduleTable, SamplerConfig]], models: Sequence[AnalyticModel]
+) -> StepPlan:
+    """The plan of ``cells`` with the predictor constants of ``models``.
+
+    Each table must sit on its config's grid, and all cells share ``eta``
+    and ``variance_normalize``.  Every level must lie in (0, 1).  A
+    schedule singular at t=0 anchors a cell at its first grid level
+    instead, so its grid must start past t=0.
+    """
+    if not cells:
+        raise ValidationError("a step plan needs at least one cell")
+    first = cells[0][1]
+    order = sorted(range(len(cells)), key=lambda i: -cells[i][1].n_steps)
+    cells = tuple(cells[i] for i in order)
+    levels, clamped = [], []
+    for table, config in cells:
+        if (config.eta, config.variance_normalize) != (first.eta, first.variance_normalize):
+            raise ValidationError("cells of one plan must share eta and variance_normalize")
+        grid = time_grid(config, table.spec.T)
+        if grid != table.timesteps:
+            raise ValidationError(
+                "table grid does not match sampler config grid "
+                f"(table has {len(table.timesteps)} steps from {table.timesteps[0]})"
+            )
+        a0 = eval_alpha_bar(table.spec, 0.0)
+        if a0 >= 1.0 and grid[0] == 0.0:
+            raise ValidationError(
+                f"config.sampler.step_offset={config.step_offset} puts the first grid point "
+                f"at t=0, where alpha_bar={a0} leaves no predictor to anchor the run on"
+            )
+        clamped.append(a0 >= 1.0)
+        levels.append((table.alpha_bar[0] if a0 >= 1.0 else a0,) + table.alpha_bar)
+    n = np.array([config.n_steps for _, config in cells])
+    counts = tuple(int(np.sum(n >= k)) for k in range(n[0] + 1))
+    ends = np.cumsum(counts).tolist()
+    blocks = tuple(slice(end - count, end) for end, count in zip(ends, counts))
+    alpha_bars = np.array([levels[i][k] for k, count in enumerate(counts) for i in range(count)])
+    below = alpha_bars.copy()  # block 0 has no step; its (a, a) pairs go unused
+    for k in range(1, len(counts)):
+        below[blocks[k]] = alpha_bars[blocks[k - 1]][: counts[k]]
+    identity = (alpha_bars == below)[:, None, None]
+    # the predictor's level check comes first, as in a walk
+    constants = {id(m): level_constants(m, alpha_bars) for m in models}
+    return StepPlan(
+        cells=cells,
+        order=tuple(order),
+        n_steps=n,
+        clamped=tuple(clamped),
+        counts=counts,
+        blocks=blocks,
+        alpha_bars=alpha_bars,
+        identity=identity,
+        has_identity=tuple(bool(identity[blk].any()) for blk in blocks),
+        invert=tuple(c[:, None, None] for c in invert_coefficients(below, alpha_bars)),
+        reverse=tuple(
+            np.broadcast_to(c, alpha_bars.shape)[:, None, None]
+            for c in reverse_coefficients(alpha_bars, below, first.eta)
+        ),
+        constants=constants,
+    )
+
+
+class Walk(NamedTuple):
+    """The records of one run over every cell of ``plan``: the states and,
+    if kept, the predictions made at them, (L, S, dim), walk-major like the
+    plan's levels."""
+
+    plan: StepPlan
+    direction: str  # "inversion" | "reverse"
+    states: np.ndarray
+    eps_hats: np.ndarray | None
+
+    def trajectory(self, single: bool = False) -> Trajectory:
+        """The walk of a one-cell plan that kept its predictions as a
+        trajectory (views, no copy); ``single`` drops the seed axis of a
+        one-seed run."""
+        if len(self.plan.cells) != 1 or self.eps_hats is None:
+            raise ValidationError("a trajectory needs a one-cell walk that kept its predictions")
+        table, config = self.plan.cells[0]
+        by_time = slice(None, None, 1 if self.direction == "inversion" else -1)
+
+        def seeds_first(records):  # (n_steps + 1, S, dim) by level -> (S, n_steps + 1, dim) by time
+            records = records[by_time].swapaxes(0, 1)
+            return records[0] if single else records
+
+        return Trajectory(
+            self.direction,
+            ((0.0,) + table.timesteps)[by_time],
+            tuple(self.plan.alpha_bars[by_time].tolist()),
+            seeds_first(self.states),
+            seeds_first(self.eps_hats),
+            config,
+            self.plan.clamped[0],
+        )
+
 
 def _as_pair(models: AnalyticModel | ModelPair) -> ModelPair:
     if isinstance(models, AnalyticModel):
         return (models, None)
     uncond, cond = models
     return (uncond, cond)
-
-
-def _predict(
-    models: ModelPair,
-    x: np.ndarray,
-    alpha_bar: float,
-    w: float,
-    config: SamplerConfig,
-    sigma0_sq: float,
-) -> np.ndarray:
-    uncond, cond = models
-    if config.variance_normalize:
-        x = x / _state_std(alpha_bar, config.input_scale_b, sigma0_sq)
-    if cond is None:
-        return exact_eps(uncond, x, alpha_bar)
-    return guided_eps(uncond, cond, x, alpha_bar, w)
-
-
-def _step_plan(
-    table: ScheduleTable, config: SamplerConfig
-) -> tuple[tuple[float, ...], list[tuple[float, float]], bool]:
-    """Grid, the inversion run's step plan, and whether t=0 is clamped.
-
-    The plan holds one (a_from, a_to) pair of noise levels per step, from
-    the t=0 anchor up: the predictor is evaluated at a_from and the state
-    moves to a_to.  Reverse and pinned runs walk the same pairs backwards
-    with the ends swapped.  For a schedule singular at t=0 the anchor takes
-    the grid's first level, so its pair is (a, a): a step that leaves the
-    noise level unchanged is the identity and draws no noise.
-    """
-    grid = time_grid(config, table.spec.T)
-    if grid != table.timesteps:
-        raise ValidationError(
-            "table grid does not match sampler config grid "
-            f"(table has {len(table.timesteps)} steps from {table.timesteps[0]})"
-        )
-    a0 = eval_alpha_bar(table.spec, 0.0)
-    clamped = a0 >= 1.0
-    levels = (table.alpha_bar[0] if clamped else a0,) + table.alpha_bar
-    return grid, list(zip(levels, levels[1:])), clamped
-
-
-def _backwards(plan: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    return [(a_to, a_from) for a_from, a_to in reversed(plan)]
 
 
 def _batch(x: Sequence[float], dim: int, what: str) -> tuple[np.ndarray, bool]:
@@ -280,46 +421,188 @@ def _batch(x: Sequence[float], dim: int, what: str) -> tuple[np.ndarray, bool]:
     return arr.reshape(-1, dim), arr.ndim == 1
 
 
-def _noise(seed: int | Sequence[int], shape: tuple[int, int, int], eta: float):
-    """Per-seed Philox normals, (S, n_steps, dim); None when eta is 0.
+def _noise(plan: StepPlan, seed: int | Sequence[int], shape: tuple[int, int]):
+    """Per-seed Philox normals for the longest cell, (S, n_steps, dim); None
+    when eta is 0.  ``shape`` is the (S, dim) of the states.
 
     Row s is the first n_steps * dim normals of seed s's own stream, the same
-    numbers one (dim,) draw per step gives.
+    numbers one (dim,) draw per step gives, so a cell with fewer steps takes
+    the leading rows of the longest cell's draw.
     """
     seeds = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
     if len(seeds) != shape[0]:
         raise ValidationError(f"{len(seeds)} seeds for a batch of {shape[0]} states")
-    if eta == 0.0:
+    if plan.cells[0][1].eta == 0.0:
         return None
     streams = [np.random.Generator(np.random.Philox(key=int(s))) for s in seeds]
-    return np.stack([rng.standard_normal(shape[1:]) for rng in streams])
+    return np.stack([rng.standard_normal((int(plan.n_steps[0]), shape[1])) for rng in streams])
 
 
-def _reverse(x, eps_hat, a_from, a_to, eta, noise):
-    if a_from == a_to:
-        return x
-    return ddim_reverse_step(x, eps_hat, a_from, a_to, eta, noise)
+def _step_noise(plan: StepPlan, noise, k: int, n: int):
+    """The noise of the step down from level k for the first n cells, (n, S, dim)."""
+    if noise is None:
+        return None
+    # cell i's step down from level k is step n_steps[i] - k of its own run
+    return noise[:, plan.n_steps[:n] - k].swapaxes(0, 1)
 
 
-def _walk(direction, grid, plan, x, predict, step, single, config, clamped) -> Trajectory:
-    """Walk ``plan`` from the (S, dim) states x: predict at each step's a_from,
-    then ``step(k, x, eps_hat, a_from, a_to)``, and predict once more at the end.
-    Raises DomainError if any recorded state is NaN or infinite."""
-    n = len(plan)
-    states = np.empty((x.shape[0], n + 1, x.shape[1]))
-    eps_hats = np.empty_like(states)
-    states[:, 0] = x
-    for k, (a_from, a_to) in enumerate(plan):
-        eps_hats[:, k] = predict(states[:, k], a_from)
-        states[:, k + 1] = step(k, states[:, k], eps_hats[:, k], a_from, a_to)
-    eps_hats[:, n] = predict(states[:, n], plan[-1][1])
+def _predictor(plan: StepPlan, models: ModelPair, w_field: str):
+    """predict(k, x): the prediction at level block k for its (C_k, S, dim) states."""
+    uncond, cond = models
+    try:
+        consts = [plan.constants[id(m)] for m in models if m is not None]
+    except KeyError:
+        raise ValidationError("the step plan holds no constants for this model") from None
+    w = plan.cell_array(w_field)
+    divisor = None
+    if plan.cells[0][1].variance_normalize:
+        b = np.concatenate([plan.cell_array("input_scale_b")[:count] for count in plan.counts])
+        divisor = _state_std(plan.alpha_bars[:, None, None], b, data_variance(uncond))
+
+    def predict(k: int, x: np.ndarray) -> np.ndarray:
+        rows = plan.blocks[k]
+        if divisor is not None:
+            x = x / divisor[rows]
+        if cond is None:
+            return exact_eps(uncond, x, consts[0].block(rows))
+        pair = (consts[0].block(rows), consts[1].block(rows))
+        return guided_eps(uncond, cond, x, pair, w[: len(x)])
+
+    return predict
+
+
+def _keep_identity(plan: StepPlan, k: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` with the rows of block k's identity steps set back to x."""
+    if plan.has_identity[k]:
+        return np.where(plan.identity[plan.blocks[k]], x, out)
+    return out
+
+
+def _down(plan: StepPlan, k: int, x: np.ndarray, eps_hat: np.ndarray, noise) -> np.ndarray:
+    """The generation steps stored in block k, from level k down to k-1."""
+    out = _reverse_apply([c[plan.blocks[k]] for c in plan.reverse], x, eps_hat, noise)
+    return _keep_identity(plan, k, x, out)
+
+
+def _walk(plan: StepPlan, direction: str, start: np.ndarray, predict, step, keep_eps) -> Walk:
+    """Predict at every level block and step to the next one, up from each
+    cell's anchor (inversion) or down from its last grid level (reverse).
+
+    ``start`` holds each cell's first state, (C, S, dim).  ``step(k, x,
+    eps_hat)`` moves the first rows of a block along the steps stored in
+    block k.  The predictions are recorded only if ``keep_eps``.  Raises
+    DomainError if any recorded state is NaN or infinite.
+    """
+    states = np.empty((len(plan.alpha_bars),) + start.shape[1:])
+    eps_hats = np.empty_like(states) if keep_eps else None
+    blocks, last = plan.blocks, len(plan.blocks) - 1
+    up = direction == "inversion"
+    if up:
+        states[blocks[0]] = start
+    else:
+        states[plan.top_rows()] = start
+    for k in range(last + 1) if up else range(last, -1, -1):
+        x = states[blocks[k]]
+        eps_hat = predict(k, x)
+        if keep_eps:
+            eps_hats[blocks[k]] = eps_hat
+        nxt = k + 1 if up else k - 1
+        if 0 <= nxt <= last:
+            at = max(k, nxt)
+            n = plan.counts[at]
+            states[blocks[nxt].start : blocks[nxt].start + n] = step(at, x[:n], eps_hat[:n])
     if not np.isfinite(states).all():
         raise DomainError(f"{direction} run left a non-finite state")
-    if single:
-        states, eps_hats = states[0], eps_hats[0]
-    times = (0.0,) + grid if direction == "inversion" else tuple(reversed(grid)) + (0.0,)
-    levels = tuple(a_from for a_from, _ in plan) + (plan[-1][1],)
-    return Trajectory(direction, times, levels, states, eps_hats, config, clamped)
+    return Walk(plan, direction, states, eps_hats)
+
+
+def walk_inversion(
+    plan: StepPlan, models: AnalyticModel | ModelPair, x0, keep_eps: bool = True
+) -> Walk:
+    """Deterministic inversion of b*x0, x0 (S, dim), in every cell at its w_invert.
+
+    The predictor for the step leaving a level is evaluated at the stored
+    state and noise level of that level.  ``keep_eps`` keeps the
+    predictions in the walk.
+    """
+    models = _as_pair(models)
+    x, _ = _batch(x0, models[0].dim, "x0")
+    scale, drift = plan.invert
+
+    def step(k, xs, eps_hat):
+        rows = plan.blocks[k]
+        return _keep_identity(plan, k, xs, scale[rows] * xs + drift[rows] * eps_hat)
+
+    start = plan.cell_array("input_scale_b") * x
+    predict = _predictor(plan, models, "w_invert")
+    return _walk(plan, "inversion", start, predict, step, keep_eps)
+
+
+def walk_reverse(
+    plan: StepPlan, models: AnalyticModel | ModelPair, x_top, seed, keep_eps: bool = True
+) -> Walk:
+    """Generation run of every cell from its last grid level down to its anchor.
+
+    ``x_top`` is (C, S, dim), cell c's states at its last level, with one
+    seed per row.  Deterministic for eta=0; otherwise each state's noise
+    comes from the Philox stream keyed by its seed.
+    """
+    models = _as_pair(models)
+    x = np.asarray(x_top, dtype=float)
+    if x.ndim != 3 or x.shape[0] != len(plan.cells) or x.shape[2] != models[0].dim:
+        raise ValidationError(
+            f"x_top shape {x.shape} is not ({len(plan.cells)}, S, {models[0].dim})"
+        )
+    noise = _noise(plan, seed, x.shape[1:])
+
+    def step(k, xs, eps_hat):
+        return _down(plan, k, xs, eps_hat, _step_noise(plan, noise, k, len(xs)))
+
+    return _walk(plan, "reverse", x, _predictor(plan, models, "w_reverse"), step, keep_eps)
+
+
+def walk_pinned(
+    plan: StepPlan,
+    inversion: Walk,
+    source_models: AnalyticModel | ModelPair,
+    target_models: AnalyticModel | ModelPair,
+    seed,
+    keep_eps: bool = True,
+) -> Walk:
+    """Reverse pass of every cell pinned to the stored inversion walk.
+
+    It walks the reverse run's steps.  At each step the source-condition
+    reverse prediction is made from the stored inversion state, and the
+    residual against the stored state one level down is added to the
+    running (target-condition) state.  With target == source the residuals
+    cancel exactly and the run reproduces the inversion path; under a
+    different target the corrections are carried unchanged.
+    """
+    if inversion.plan is not plan or inversion.direction != "inversion":
+        raise ValidationError("pinned reconstruction needs an inversion walk of this plan")
+    stored = inversion.states
+    noise = _noise(plan, seed, stored.shape[1:])
+    source = _predictor(plan, _as_pair(source_models), "w_reverse")
+
+    def step(k, xs, eps_hat):
+        n, z = len(xs), _step_noise(plan, noise, k, len(xs))
+        src = stored[plan.blocks[k]]  # sits where the running target branch xs is
+        below = stored[plan.blocks[k - 1]][:n]
+        if plan.has_identity[k] and plan.identity[plan.blocks[k]].all():
+            src_down = src  # identity steps draw no source prediction
+        else:
+            src_down = _down(plan, k, src, source(k, src), z)
+        return _down(plan, k, xs, eps_hat, z) + (below - src_down)
+
+    target = _predictor(plan, _as_pair(target_models), "w_reverse")
+    return _walk(plan, "reverse", stored[plan.top_rows()], target, step, keep_eps)
+
+
+# ---------------------------------------------------------------------------
+# single-cell runs: a plan of one cell, recorded as a trajectory
+
+def _models(*pairs: ModelPair) -> list[AnalyticModel]:
+    return [m for pair in pairs for m in pair if m is not None]
 
 
 def run_inversion(
@@ -331,24 +614,14 @@ def run_inversion(
 ) -> Trajectory:
     """Deterministic inversion of b*x0, (dim,) or (S, dim), up the grid at w_invert.
 
-    The predictor for the step leaving t_{j-1} is evaluated at the stored
-    state and noise level of t_{j-1}.  ``seed`` (one per state) is accepted
-    for interface symmetry; inversion itself draws no noise.
+    ``seed`` (one per state) is accepted for interface symmetry; inversion
+    itself draws no noise.
     """
     del seed
     models = _as_pair(models)
-    grid, plan, clamped = _step_plan(table, config)
     x, single = _batch(x0, models[0].dim, "x0")
-    sigma0_sq = data_variance(models[0])
-
-    def predict(xs, a):
-        return _predict(models, xs, a, config.w_invert, config, sigma0_sq)
-
-    def step(k, xs, eps_hat, a_from, a_to):
-        return xs if a_from == a_to else ddim_invert_step(xs, eps_hat, a_from, a_to)
-
-    x = config.input_scale_b * x
-    return _walk("inversion", grid, plan, x, predict, step, single, config, clamped)
+    plan = step_plan([(table, config)], _models(models))
+    return walk_inversion(plan, models, x).trajectory(single)
 
 
 def run_reverse(
@@ -360,24 +633,13 @@ def run_reverse(
 ) -> Trajectory:
     """Generation run from the grid's last timestep down to the t=0 anchor.
 
-    ``x_T`` is (dim,) or (S, dim) with one seed per state.  Deterministic for
-    eta=0; otherwise each state's noise comes from the Philox stream keyed by
-    its seed.  The final step mirrors the inversion start convention.
+    ``x_T`` is (dim,) or (S, dim) with one seed per state.  The final step
+    mirrors the inversion start convention.
     """
     models = _as_pair(models)
-    grid, plan, clamped = _step_plan(table, config)
     x, single = _batch(x_T, models[0].dim, "x_T")
-    noise = _noise(seed, (x.shape[0], config.n_steps, x.shape[1]), config.eta)
-    sigma0_sq = data_variance(models[0])
-
-    def predict(xs, a):
-        return _predict(models, xs, a, config.w_reverse, config, sigma0_sq)
-
-    def step(k, xs, eps_hat, a_from, a_to):
-        z = None if noise is None else noise[:, k]
-        return _reverse(xs, eps_hat, a_from, a_to, config.eta, z)
-
-    return _walk("reverse", grid, _backwards(plan), x, predict, step, single, config, clamped)
+    plan = step_plan([(table, config)], _models(models))
+    return walk_reverse(plan, models, x[None], seed).trajectory(single)
 
 
 def pinned_reconstruction(
@@ -388,44 +650,19 @@ def pinned_reconstruction(
     config: SamplerConfig,
     seed: int | Sequence[int] = 0,
 ) -> Trajectory:
-    """Reverse pass pinned to the stored inversion trajectory (single or batched).
-
-    It walks the reverse run's steps.  At each step the source-condition
-    reverse prediction is made from the stored inversion state, and the
-    residual against the stored previous state is added to the running
-    (target-condition) state.  With target == source the residuals cancel
-    exactly and the run reproduces the inversion path; under a different
-    target the corrections are carried unchanged.
-    """
+    """Reverse pass pinned to the stored inversion trajectory (single or
+    batched); see ``walk_pinned``."""
     source_models = _as_pair(source_models)
     target_models = _as_pair(target_models)
-    grid, plan, clamped = _step_plan(table, config)
-    n = config.n_steps
+    plan = step_plan([(table, config)], _models(source_models, target_models))
     if inversion.direction != "inversion":
         raise ValidationError("pinned reconstruction needs an inversion trajectory")
     stored = inversion.states.reshape(-1, *inversion.states.shape[-2:])
-    if stored.shape[1] != n + 1 or inversion.timesteps != (0.0,) + grid:
+    if stored.shape[1] != config.n_steps + 1 or inversion.timesteps != (0.0,) + table.timesteps:
         raise ValidationError("inversion trajectory does not cover the sampler grid")
-    noise = _noise(seed, (stored.shape[0], n, stored.shape[2]), config.eta)
-    sigma0_src = data_variance(source_models[0])
-    sigma0_tgt = data_variance(target_models[0])
-
-    def predict(xs, a):
-        return _predict(target_models, xs, a, config.w_reverse, config, sigma0_tgt)
-
-    def step(k, xs, eps_hat, a_from, a_to):
-        # stored[:, n - k] sits where the running target branch xs is
-        z = None if noise is None else noise[:, k]
-        src = stored[:, n - k]
-        eps_src = None
-        if a_from != a_to:
-            eps_src = _predict(source_models, src, a_from, config.w_reverse, config, sigma0_src)
-        correction = stored[:, n - k - 1] - _reverse(src, eps_src, a_from, a_to, config.eta, z)
-        return _reverse(xs, eps_hat, a_from, a_to, config.eta, z) + correction
-
-    single = inversion.states.ndim == 2
-    plan = _backwards(plan)
-    return _walk("reverse", grid, plan, stored[:, n], predict, step, single, config, clamped)
+    stored = Walk(plan, "inversion", stored.swapaxes(0, 1), None)
+    walk = walk_pinned(plan, stored, source_models, target_models, seed)
+    return walk.trajectory(single=inversion.states.ndim == 2)
 
 
 # ---------------------------------------------------------------------------

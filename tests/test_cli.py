@@ -12,19 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from schedlab import (
     Family,
-    SamplerConfig,
     ScheduleSpec,
     build_table,
     logsnr_linearity_fit,
-    psnr,
-    run_inversion,
-    run_reverse,
-    sample_x0,
     singularity_scan,
-    time_grid,
 )
-from schedlab.cli import main
-from schedlab.presets import mixture_testbed
+from schedlab.cli import SWEEP_AXES, main
 from schedlab.schedules import integer_grid
 
 
@@ -441,32 +434,185 @@ def test_n_steps_sweep_through_few_steps(tmp_path):
     assert [r["linearity_r2"] is None for r in reports] == [True, True, True, False]
 
 
-def test_non_finite_report_exits_3_and_writes_nothing(tmp_path, capsys):
-    # scaled_linear is singular at t=0, so a 1-step run is the identity
-    # anchor (a, a): the round trip is exact and its PSNR is infinite
-    spec = ScheduleSpec(family=Family.SCALED_LINEAR, T=1000)
-    config = SamplerConfig(n_steps=1)
-    table = build_table(spec, time_grid(config, spec.T))
-    bed = mixture_testbed()
-    pair = (bed.uncond, bed.source)
-    x0 = sample_x0(bed.source, 0, 2)
-    inv = run_inversion(pair, x0, table, config, [0, 1])
-    rec = run_reverse(pair, inv.states[:, -1], table, config, [0, 1])
-    assert np.array_equal(rec.states[:, -1], x0)
-    assert psnr(x0[0], rec.states[0, -1], 1.0) == math.inf
+POINT_MASS_2D = {
+    "kind": "point_mass",
+    "dim": 2,
+    "components": [{"weight": 1.0, "mean": [1.0, -1.0], "variance": 0.0}],
+}
 
+
+@pytest.mark.parametrize(
+    "schedule, sampler, models",
+    [
+        # scaled_linear is singular at t=0, so a 1-step run is the identity
+        # anchor (a, a)
+        ({"family": "scaled_linear", "T": 1000}, {"n_steps": 1}, None),
+        # the exact predictor of a point mass makes its round trip bit-exact
+        ({"family": "logistic", "T": 100}, {"n_steps": 5}, {"source": POINT_MASS_2D}),
+    ],
+)
+def test_exact_roundtrip_writes_null_psnr(tmp_path, schedule, sampler, models):
+    # the MSE is exactly 0 and the PSNR infinite: the report holds null and
+    # the CSV an empty field, and the command succeeds
+    extra = {} if models is None else {"models": models}
+    cfg = roundtrip_config(tmp_path, name="exact", schedule=schedule, sampler=sampler, **extra)
+    assert main(["roundtrip", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "exact_report.json").read_text())
+    assert report["roundtrip_mse"] == 0.0 and report["roundtrip_psnr"] is None
+    rows = read_rows(tmp_path / "exact_roundtrip.csv")
+    assert rows[0] == "seed,roundtrip_mse,roundtrip_psnr"
+    assert all(row.split(",")[1:] == ["0", ""] for row in rows[1:])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_report_exits_3_and_writes_nothing(tmp_path, capsys):
+    # states near 1e160 stay finite, but the squares of their round-trip
+    # gaps overflow: the MSE and the local errors are infinite
     cfg = roundtrip_config(
         tmp_path,
-        name="exact",
-        schedule={"family": "scaled_linear", "T": 1000},
-        sampler={"n_steps": 1},
+        name="huge",
+        schedule={"family": "logistic", "T": 100},
+        sampler={"n_steps": 5, "input_scale_b": 1e160},
+        models={
+            "source": {
+                "kind": "gaussian",
+                "dim": 2,
+                "components": [{"weight": 1.0, "mean": [1.0, -1.0], "variance": 0.5}],
+            }
+        },
+        seeds=[0],
     )
     out = tmp_path / "out"
     assert main(["roundtrip", "--config", cfg, "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numeric domain error:") and "exact_report.json" in err
+    assert err.startswith("numeric domain error:") and "huge_report.json" in err
     assert not out.exists()
 
+
+@pytest.mark.parametrize("command", ["roundtrip", "edit-sim", "sweep"])
+def test_step_offset_zero_on_singular_schedule_exits_2(tmp_path, capsys, command):
+    # the grid would start at t=0, where alpha_bar is 1 and no predictor exists
+    cfg = roundtrip_config(
+        tmp_path,
+        name="off0",
+        schedule={"family": "scaled_linear", "T": 1000},
+        sampler={"n_steps": 10, "step_offset": 0},
+        sweep={"axis": "n_steps", "values": [20, 10], "command": "roundtrip"},
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "config.sampler.step_offset" in err
+    assert not out.exists()
+
+
+def test_step_offset_zero_runs_on_logistic(tmp_path):
+    # logistic keeps alpha_bar(0) < 1: its first step is the identity (a0, a0)
+    cfg = roundtrip_config(tmp_path, name="off0", sampler={"n_steps": 10, "step_offset": 0})
+    assert main(["edit-sim", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "off0_report.json").read_text())
+    assert not report["start_clamped"] and report["roundtrip_mse"] > 0.0
+
+
+CELL_SWEEPS = {
+    # unsorted and ragged, with 1-step cells; cosine draws eta=1 noise
+    "n_steps_cosine": (
+        {"family": "cosine", "T": 1000},
+        {"n_steps": 50, "eta": 1.0},
+        {"axis": "n_steps", "values": [400, 1, 25, 3, 2], "command": "edit-sim"},
+    ),
+    "n_steps_logistic": (
+        {"family": "logistic", "T": 1000},
+        {"n_steps": 50},
+        {"axis": "n_steps", "values": [400, 1, 25, 3, 2], "command": "roundtrip"},
+    ),
+    # k=0.06124 rounds alpha_bar(0) to 1, so that cell alone is clamped
+    "k": (
+        {"family": "logistic", "T": 1000, "t0": 600.0},
+        {"n_steps": 20, "eta": 0.5},
+        {"axis": "k", "values": [0.015, 0.06124, 0.008], "command": "edit-sim"},
+    ),
+    "t0": (
+        {"family": "logistic", "T": 1000},
+        {"n_steps": 20},
+        {"axis": "t0", "values": "preset", "command": "roundtrip"},
+    ),
+    "input_scale_b": (
+        {"family": "sigmoid", "T": 1000},
+        {"n_steps": 20, "eta": 0.5, "variance_normalize": True},
+        {"axis": "input_scale_b", "values": [0.5, 1.4, 1.0], "command": "edit-sim"},
+    ),
+    "guidance": (
+        {"family": "scaled_linear", "T": 1000},
+        {"n_steps": 20, "eta": 0.5},
+        {
+            "axis": "guidance",
+            "values": [[1.0, 3.0], [0.0, 5.0], [2.0, 0.0], [3.5, 7.5]],
+            "command": "edit-sim",
+        },
+    ),
+}
+@pytest.mark.parametrize("case", sorted(CELL_SWEEPS))
+def test_sweep_cells_match_single_cell_commands(tmp_path, case):
+    # a sweep walks all of its cells as one batch; each cell's report and
+    # sweep row are bitwise those of the cell's own single command
+    schedule, sampler, sweep = CELL_SWEEPS[case]
+    cfg = roundtrip_config(
+        tmp_path, name="cells", schedule=schedule, sampler=sampler, seeds=[3, 1, 4], sweep=sweep
+    )
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 0
+    reports = json.loads((tmp_path / "sweep" / "cells_sweep_reports.json").read_text())
+    with open(tmp_path / "sweep" / "cells_sweep.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(reports) == len(rows) >= 3
+
+    section, fields = SWEEP_AXES[sweep["axis"]]
+    for i, (report, row) in enumerate(zip(reports, rows)):
+        value = json.loads(row[1])
+        payload = {"schedule": dict(schedule), "sampler": dict(sampler)}
+        payload[section].update(zip(fields, value if len(fields) > 1 else [value]))
+        single = roundtrip_config(tmp_path, name="one", seeds=[3, 1, 4], **payload)
+        out = tmp_path / f"one_{i}"
+        assert main([sweep["command"], "--config", single, "--out", str(out)]) == 0
+        alone = json.loads((out / "one_report.json").read_text())
+        assert report.pop("scenario_id") == f"cells[{sweep['axis']}={row[1]}]"
+        alone.pop("scenario_id")
+        assert report == alone
+        assert row[2:] == ["" if alone[f] is None else f"{alone[f]:.17g}" for f in header[2:]]
+
+
+def test_n_steps_sweep_makes_one_predictor_call_per_level(tmp_path, monkeypatch):
+    # all cells walk together: a roundtrip n_steps sweep calls the guided
+    # predictor 2 * (max N + 1) times, on 2 * S * sum(N + 1) rows, and each
+    # guided call makes one exact_eps call per model
+    import schedlab.models as models_module
+    import schedlab.sampler as sampler_module
+
+    calls = {"guided": 0, "guided_rows": 0, "exact_rows": 0}
+    guided, exact = sampler_module.guided_eps, models_module.exact_eps
+
+    def counted_guided(*args):
+        out = guided(*args)
+        calls["guided"] += 1
+        calls["guided_rows"] += out.size // out.shape[-1]
+        return out
+
+    def counted_exact(*args):
+        out = exact(*args)
+        calls["exact_rows"] += out.size // out.shape[-1]
+        return out
+
+    monkeypatch.setattr(sampler_module, "guided_eps", counted_guided)
+    monkeypatch.setattr(models_module, "exact_eps", counted_exact)
+    values, seeds = [10, 3, 25, 1], [5, 6, 7]
+    cfg = roundtrip_config(
+        tmp_path, name="cnt", seeds=seeds,
+        sweep={"axis": "n_steps", "values": values, "command": "roundtrip"},
+    )
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert calls["guided"] == 2 * (max(values) + 1)
+    assert calls["guided_rows"] == 2 * len(seeds) * sum(n + 1 for n in values)
+    assert calls["exact_rows"] == 2 * calls["guided_rows"]
 
 # ---------------------------------------------------------------------------
 # exit codes and config strictness
@@ -522,10 +668,7 @@ def test_inline_model_description(tmp_path):
         tmp_path,
         name="inline",
         schedule={"family": "logistic", "T": 100},
-        # at 10 steps this round trip is bit-exact: its PSNR is inf, which a
-        # report cannot hold, so the command would exit 3
-        # (test_non_finite_report_exits_3_and_writes_nothing)
-        sampler={"n_steps": 20},
+        sampler={"n_steps": 10},
         models={
             "source": {
                 "kind": "point_mass",

@@ -23,7 +23,9 @@ from schedlab import (
     run_inversion,
     run_reverse,
     sample_x0,
+    step_plan,
     time_grid,
+    walk_inversion,
 )
 from schedlab.sampler import ddpm_sigma
 from schedlab.presets import logistic_spec, mixture_testbed, point_mass_model
@@ -216,6 +218,25 @@ def test_start_clamp_mirrors_between_directions():
     inv2 = run_inversion(pm, x0, log_table, log_cfg)
     assert not inv2.start_clamped
     assert inv2.alpha_bars[0] == eval_alpha_bar(log_table.spec, 0.0)
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+def test_identity_anchor_keeps_states_unchanged(eta):
+    # a clamped anchor is the step pair (a, a): every run passes its states
+    # through it bit for bit, and draws no noise there (the offset puts the
+    # anchor at a = 0.98, where the reverse-step formula would move them)
+    bed = mixture_testbed()
+    spec = ScheduleSpec(family=Family.SCALED_LINEAR, T=1000)
+    table, cfg = make_table(spec, 10, eta=eta, step_offset=37)
+    src, tgt = (bed.uncond, bed.source), (bed.uncond, bed.target)
+    seeds = [4, 5, 6]
+    inv = run_inversion(src, sample_x0(bed.source, 4, 3), table, cfg, seeds)
+    rev = run_reverse(src, inv.states[:, -1], table, cfg, seeds)
+    pinned = pinned_reconstruction(inv, src, tgt, table, cfg, seeds)
+    assert inv.alpha_bars[0] == inv.alpha_bars[1]
+    assert np.array_equal(inv.states[:, 1], inv.states[:, 0])
+    assert np.array_equal(rev.states[:, -1], rev.states[:, -2])
+    assert np.array_equal(pinned.states[:, -1], pinned.states[:, -2] + (inv.states[:, 0] - inv.states[:, 1]))
 
 
 def test_reverse_deterministic_and_seeded():
@@ -479,3 +500,41 @@ def test_bad_batch_shapes_rejected():
     with pytest.raises(ValidationError):
         run_reverse(bed.source, np.zeros((3, 8)), table, cfg, [0, 1])
 
+
+
+def reverse_with_stored_eps(states, eps_hats, levels):
+    """Undo an inversion, (n_steps + 1, S, dim) records by level, with its own predictions."""
+    x = states[-1]
+    for j in range(len(levels) - 1, 0, -1):
+        x = ddim_reverse_step(x, eps_hats[j - 1], levels[j], levels[j - 1])
+    return x
+
+
+@given(st.sampled_from(sorted(Family, key=str)), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=8, deadline=None)
+def test_batched_inversion_reverses_exactly_with_stored_eps(family, seed):
+    # the exact-inverse identity of single steps holds for whole batched
+    # runs, and for every cell of a ragged two-cell batch
+    bed = mixture_testbed()
+    src = (bed.uncond, bed.source)
+    spec = ScheduleSpec(family=family, T=1000)
+    table, cfg = make_table(spec, 25)
+    for batch in (1, 3, 32):
+        x0 = sample_x0(bed.source, seed, batch)
+        inv = run_inversion(src, x0, table, cfg)
+        back = reverse_with_stored_eps(
+            inv.states.swapaxes(0, 1), inv.eps_hats.swapaxes(0, 1), inv.alpha_bars
+        )
+        np.testing.assert_allclose(back, x0, rtol=0.0, atol=1e-10)
+
+    x0 = sample_x0(bed.source, seed, 3)
+    cells = [make_table(spec, 6), (table, cfg)]
+    plan = step_plan(cells, src)
+    walk = walk_inversion(plan, src, x0)
+    for i, j in enumerate(plan.order):  # cell i of the walk is the caller's cell j
+        rows = plan.rows(i)
+        back = reverse_with_stored_eps(walk.states[rows], walk.eps_hats[rows], plan.alpha_bars[rows])
+        np.testing.assert_allclose(back, x0, rtol=0.0, atol=1e-10)
+        alone = run_inversion(src, x0, *cells[j])
+        assert np.array_equal(walk.states[rows], alone.states.swapaxes(0, 1))
+        assert np.array_equal(walk.eps_hats[rows], alone.eps_hats.swapaxes(0, 1))
